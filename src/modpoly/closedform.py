@@ -17,11 +17,29 @@ plus an extra -(ell+1) * c_0.  The rational weight in front of each
 monomial is provably an integer; term_weight computes it exactly and
 raises IntegralityError if that ever fails, since a non-integer weight
 means the inputs are outside the valid domain or the arithmetic is wrong.
+
+The sum has p(m) terms.  Grouping it by the number of parts k = u + 1
+makes it polynomial in m: u!/prod t_i! = (1/k) * k!/prod t_i!, and the
+sum over partitions of m into k parts of (k!/prod t_i!) * prod c_{r_i-1}^{t_i}
+is [q^m] J^k with J = sum_{r>=1} c_{r-1} q^r.  Hence
+
+    a_{ell,ell-m} = sum_{k=1..m} (-1)^{k-1} * ell * C(ell-m+k-1, k-1)
+                        * [q^m] J^k / k
+
+(minus (ell+1) * c_0 at m = ell).  Each grouped term is a sum of integer
+partition terms, so the division by k is exact; closed_row checks it on
+every term and raises IntegralityError otherwise.
+
+closed_row evaluates the grouped form and is what the library and the
+CLI use.  coeff_closed and term_weight evaluate the partition sum term by
+term, with no series code at all, and serve as the oracle that tests and
+crosscheck compare closed_row against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,10 +113,44 @@ def coeff_closed(req: CoeffRequest, j: JTable) -> int:
 
 
 def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
-    """[a_{ell,ell-m} for m = 0..m_max] via the partition sum."""
+    """[a_{ell,ell-m} for m = 0..m_max] via the partition sum grouped by parts.
+
+    Uses a_{ell,ell-m} = sum_k (-1)^{k-1} (ell/k) C(ell-m+k-1, k-1) [q^m] J^k
+    with J = sum_{r>=1} c_{r-1} q^r (see the module docstring), building
+    J, J^2, ..., J^{m_max} in one pass, each truncated above q^{m_max}.
+    The powers use their own list convolution rather than IntSeries, so
+    a fault in series multiplication cannot reach both this row and
+    recurrence_row.  Every grouped term must divide exactly by k, checked
+    with divmod; a remainder raises IntegralityError.  Same values as
+    [coeff_closed(CoeffRequest(ell, m), j) for m in 0..m_max].
+    """
     if m_max is None:
         m_max = ell
-    return [coeff_closed(CoeffRequest(ell, m), j) for m in range(m_max + 1)]
+    CoeffRequest(ell, m_max)  # validates ell and m_max
+    if j.count < m_max:
+        raise ValueError(
+            "need j coefficients c_0..c_%d but table stops at c_%d" % (m_max - 1, j.count - 1)
+        )
+    J = [0] + list(j.values[1 : m_max + 1])  # J[r] = c_{r-1}
+    row = [-1] + [0] * m_max
+    power = J  # J^k, zero below q^k
+    for k in range(1, m_max + 1):
+        if k > 1:
+            power = [0] * k + [
+                sum(map(operator.mul, J[1 : d - k + 2], reversed(power[k - 1 : d])))
+                for d in range(k, m_max + 1)
+            ]
+        for m in range(k, m_max + 1):
+            term, rem = divmod(ell * binomial(ell - m + k - 1, k - 1) * power[m], k)
+            if rem:
+                raise IntegralityError(
+                    "integrality violation: grouped term for ell=%d, m=%d, k=%d "
+                    "leaves remainder %d mod %d" % (ell, m, k, rem, k)
+                )
+            row[m] += term if k % 2 else -term
+    if m_max == ell:
+        row[ell] -= (ell + 1) * J[1]
+    return row
 
 
 def coeff_small_m(req: CoeffRequest, j: JTable) -> int:

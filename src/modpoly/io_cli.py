@@ -24,7 +24,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .closedform import CoeffRequest, closed_row, coeff_closed, coeff_small_m
@@ -34,6 +33,10 @@ from .jfun import j_coefficients
 from .recurrence import ModularPolynomial, coeff_recurrence, recurrence_row, solve_full_polynomial
 
 SOLVER_FEASIBLE_MAX = 13
+
+# crosscheck also runs the term-by-term partition sum, the one route with
+# no series code, up to this m; p(20) = 627 terms keep it cheap.
+PARTITION_CHECK_MAX = 20
 
 
 class UsageError(Exception):
@@ -164,7 +167,6 @@ class RunConfig:
     precision_override: int | None = None
     output_path: str | None = None
     check_set: tuple = ROW_CHECKS
-    threads: int = 1
 
     def __post_init__(self):
         if not is_prime(self.ell):
@@ -178,8 +180,6 @@ class RunConfig:
             raise UsageError(
                 "unknown checks: %s (choose from %s)" % (",".join(bad), ",".join(ALL_CHECKS))
             )
-        if self.threads < 1:
-            raise UsageError("--threads must be at least 1")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -199,8 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ell", type=int, required=True, help="prime level")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallelism budget (default: MODPOLY_THREADS or 1)")
 
     p = sub.add_parser("jcoeff", help="print j-invariant coefficients c_{-1}..c_{N-1}")
     p.add_argument("--count", type=int, required=True)
@@ -235,20 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _threads_from(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("MODPOLY_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError("MODPOLY_THREADS must be an integer, got %r" % raw) from None
-    if value < 1:
-        raise UsageError("thread count must be at least 1")
-    return value
-
-
 def _deliver(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -258,7 +242,6 @@ def _deliver(text: str, args) -> None:
 
 
 def _cmd_jcoeff(args) -> int:
-    _threads_from(args)
     if args.count < 1:
         raise UsageError("--count must be at least 1")
     table = j_coefficients(args.count)
@@ -271,11 +254,11 @@ def _cmd_jcoeff(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    cfg = RunConfig(ell=args.ell, m_max=args.m, threads=_threads_from(args))
+    cfg = RunConfig(ell=args.ell, m_max=args.m)
     req = CoeffRequest(cfg.ell, args.m)
     j = j_coefficients(max(args.m, 1))
     if args.method == "closed":
-        value = coeff_closed(req, j)
+        value = closed_row(cfg.ell, j, args.m)[args.m]
     elif args.method == "recurrence":
         value = coeff_recurrence(cfg.ell, args.m, j)
     else:
@@ -289,7 +272,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_row(args) -> int:
-    cfg = RunConfig(ell=args.ell, m_max=args.m_max, threads=_threads_from(args))
+    cfg = RunConfig(ell=args.ell, m_max=args.m_max)
     m_max = cfg.m_max if cfg.m_max is not None else cfg.ell
     j = j_coefficients(max(m_max, 1))
     if args.method == "closed":
@@ -308,8 +291,7 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    cfg = RunConfig(ell=args.ell, precision_override=args.precision,
-                    threads=_threads_from(args))
+    cfg = RunConfig(ell=args.ell, precision_override=args.precision)
     count = cfg.precision_override or cfg.ell * cfg.ell + cfg.ell + 2
     poly = solve_full_polynomial(cfg.ell, j_coefficients(count))
     if args.format == "text":
@@ -346,7 +328,7 @@ def _report_text(report: CongruenceReport) -> str:
 
 def _cmd_check(args) -> int:
     check_set = tuple(s.strip() for s in args.set.split(",") if s.strip())
-    cfg = RunConfig(ell=args.ell, check_set=check_set, threads=_threads_from(args))
+    cfg = RunConfig(ell=args.ell, check_set=check_set)
     poly = None
     if args.file:
         parsed = load_sutherland(args.file)
@@ -393,30 +375,28 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    cfg = RunConfig(ell=args.ell, m_max=args.m_max, threads=_threads_from(args))
+    cfg = RunConfig(ell=args.ell, m_max=args.m_max)
     if cfg.ell < 3:
         raise UsageError("crosscheck needs ell >= 3")
     m_max = cfg.m_max if cfg.m_max is not None else cfg.ell
     j = j_coefficients(max(m_max, 1))
-    sources = {"recurrence": recurrence_row(cfg.ell, j, m_max)}
-
-    def one_closed(m):
-        return coeff_closed(CoeffRequest(cfg.ell, m), j)
-
-    ms = range(m_max + 1)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            sources["closed"] = list(pool.map(one_closed, ms))
-    else:
-        sources["closed"] = [one_closed(m) for m in ms]
-
+    sources = {
+        "closed": closed_row(cfg.ell, j, m_max),
+        "recurrence": recurrence_row(cfg.ell, j, m_max),
+    }
     if cfg.ell <= SOLVER_FEASIBLE_MAX:
         solved = solve_full_polynomial(cfg.ell, j_coefficients(cfg.ell * cfg.ell + cfg.ell + 2))
         sources["solver"] = solved.top_row()[: m_max + 1]
+    partition = [
+        coeff_closed(CoeffRequest(cfg.ell, m), j)
+        for m in range(min(m_max, PARTITION_CHECK_MAX) + 1)
+    ]
 
     mismatches = []
-    for m in ms:
+    for m in range(m_max + 1):
         values = {name: vals[m] for name, vals in sources.items()}
+        if m < len(partition):
+            values["partition"] = partition[m]
         if len(set(values.values())) != 1:
             mismatches.append((m, values))
     for m, values in mismatches:

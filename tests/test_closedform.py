@@ -14,8 +14,11 @@ from modpoly import (
     coeff_small_m,
     j_coefficients,
     partitions,
+    primes_upto,
+    recurrence_row,
     term_weight,
 )
+from modpoly import closedform
 
 J = j_coefficients(16)
 
@@ -126,6 +129,32 @@ def test_closed_row_shape_and_prefix():
     assert row[0] == -1
     assert row == [coeff_closed(CoeffRequest(5, m), J) for m in range(6)]
     assert closed_row(5, J, m_max=2) == row[:3]
+    with pytest.raises(ValueError):
+        closed_row(5, j_coefficients(2), m_max=3)
+    with pytest.raises(ValueError):
+        closed_row(5, J, m_max=6)
+
+
+@pytest.mark.parametrize("ell", [31, 37, 97])
+def test_closed_row_matches_term_by_term_sum(ell):
+    j = j_coefficients(30)
+    assert closed_row(ell, j, m_max=30) == [
+        coeff_closed(CoeffRequest(ell, m), j) for m in range(31)
+    ]
+
+
+def test_closed_row_matches_recurrence_on_full_rows():
+    j = j_coefficients(199)
+    for ell in primes_upto(97)[1:] + [199]:
+        assert closed_row(ell, j) == recurrence_row(ell, j), ell
+
+
+def test_closed_row_checks_exact_division(monkeypatch):
+    # with every binomial forced to 1, the m=5, k=5 term at ell=7 is
+    # 7 * c_0^5 / 5, which is not an integer
+    monkeypatch.setattr(closedform, "binomial", lambda n, k: 1)
+    with pytest.raises(IntegralityError, match="m=5, k=5"):
+        closed_row(7, J, m_max=5)
 
 
 # --- coeff_small_m -------------------------------------------------------

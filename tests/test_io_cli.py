@@ -1,12 +1,17 @@
 """Coefficient-file parsing, serialization round trips, and the CLI front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import PHI2_KNOWN, PHI5_FACTORED
 from hypothesis import given, settings, strategies as st
 
 from modpoly import (
+    CoeffRequest,
     ModularPolynomial,
     RunConfig,
     SutherlandParseError,
@@ -20,8 +25,10 @@ from modpoly import (
     read_polynomial_json,
     solve_full_polynomial,
 )
+from modpoly import io_cli
 
 PHI5 = ModularPolynomial(5, dict(PHI5_FACTORED))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # --- parsing ----------------------------------------------------------------
@@ -166,7 +173,7 @@ def test_round_trips_on_random_tables(poly):
 
 def test_run_config_validation():
     cfg = RunConfig(ell=7)
-    assert cfg.threads == 1 and cfg.check_set
+    assert cfg.check_set
     with pytest.raises(UsageError):
         RunConfig(ell=6)
     with pytest.raises(UsageError):
@@ -175,8 +182,6 @@ def test_run_config_validation():
         RunConfig(ell=5, precision_override=0)
     with pytest.raises(UsageError):
         RunConfig(ell=5, check_set=("prop22", "bogus"))
-    with pytest.raises(UsageError):
-        RunConfig(ell=5, threads=0)
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -199,6 +204,15 @@ def test_cli_jcoeff_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"first_index": -1, "values": ["1", "744", "196884"]}
+
+
+def test_cli_coeff_closed_at_large_m(capsys):
+    # p(90) is about 5.7e7 partitions; the grouped closed form answers at once
+    args = ("coeff", "--ell", "97", "--m", "90", "--method")
+    code_c, out_c, _ = run_cli(capsys, *args, "closed")
+    code_r, out_r, _ = run_cli(capsys, *args, "recurrence")
+    assert code_c == code_r == 0
+    assert out_c == out_r
 
 
 def test_cli_coeff_all_methods(capsys):
@@ -356,20 +370,22 @@ def test_cli_crosscheck_beyond_solver_range(capsys):
     assert "solver" not in out
 
 
-def test_cli_crosscheck_threaded(capsys):
-    code, out, _ = run_cli(capsys, "crosscheck", "--ell", "7", "--threads", "3")
-    assert code == 0
-    assert "crosscheck: OK" in out
+def test_cli_crosscheck_runs_partition_sum_up_to_its_bound(capsys, monkeypatch):
+    real = io_cli.coeff_closed
+    seen = []
 
+    def off_by_one_at_4(req, j):
+        seen.append(req.m)
+        return real(req, j) + (req.m == 4)
 
-def test_cli_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("MODPOLY_THREADS", "2")
-    code, out, _ = run_cli(capsys, "crosscheck", "--ell", "5")
-    assert code == 0
-    monkeypatch.setenv("MODPOLY_THREADS", "zero")
-    code, _, err = run_cli(capsys, "crosscheck", "--ell", "5")
-    assert code == 1
-    assert "MODPOLY_THREADS" in err
+    monkeypatch.setattr(io_cli, "coeff_closed", off_by_one_at_4)
+    code, out, _ = run_cli(capsys, "crosscheck", "--ell", "23")
+    assert code == 3
+    assert seen == list(range(io_cli.PARTITION_CHECK_MAX + 1))
+    (line,) = [l for l in out.splitlines() if l.startswith("MISMATCH at")]
+    good = real(CoeffRequest(23, 4), j_coefficients(4))
+    assert line == "MISMATCH at m=4: closed=%d, partition=%d, recurrence=%d" % (good, good + 1, good)
+    assert "crosscheck: MISMATCH (1 of 24 rows)" in out
 
 
 def test_cli_usage_errors(capsys):
@@ -400,6 +416,15 @@ def test_cli_computation_errors(capsys, tmp_path):
     bad.write_text("[1,0]\n")
     code, _, err = run_cli(capsys, "check", "--ell", "5", "--file", str(bad))
     assert code == 2 and "line 1" in err
+
+
+def test_python_m_modpoly_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "modpoly", "coeff", "--ell", "5", "--m", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3720\n", "")
 
 
 def test_cli_entry_point_raises_system_exit():
