@@ -21,18 +21,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
 
-from .closedform import CoeffRequest, closed_row, coeff_closed, coeff_small_m
+from .closedform import CoeffRequest, closed_row, coeff_closed
 from .comb import is_prime
 from .congruence import ALL_CHECKS, ROW_CHECKS, CongruenceReport, check_conjecture_div, check_row
 from .jfun import j_coefficients
-from .recurrence import ModularPolynomial, coeff_recurrence, recurrence_row, solve_full_polynomial
-
-SOLVER_FEASIBLE_MAX = 13
+from .recurrence import (
+    SOLVER_FEASIBLE_MAX,
+    ModularPolynomial,
+    recurrence_row,
+    solve_full_polynomial,
+    solver_precision,
+)
 
 # crosscheck also runs the term-by-term partition sum, the one route with
 # no series code, up to this m; p(20) = 627 terms keep it cheap.
@@ -76,14 +79,13 @@ _LINE_RE = re.compile(r"^\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s+([+-]?\d+)\s*$")
 _HEADER_ELL_RE = re.compile(r"^#\s*(?:ell|level)\s*[=:]\s*(\d+)\s*$", re.IGNORECASE)
 
 
-def parse_sutherland(text, ell: int | None = None, name: str | None = None) -> SutherlandFile:
+def parse_sutherland(text, ell: int | None = None) -> SutherlandFile:
     """Parse coefficient lines; figure out the level if none is supplied.
 
     ``text`` may be str or UTF-8 bytes; LF and CRLF both work.  The level
     is taken from, in order: the explicit argument, a "# ell = N" header
-    comment, digits in the supplied file name, and as a last resort the
-    entry indices themselves (a boundary entry [M,0] with value 1 puts
-    the level at M-1, otherwise at the largest m seen).
+    comment, and the entry indices themselves (a boundary entry [M,0]
+    with value 1 puts the level at M-1, otherwise at the largest m seen).
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
@@ -116,10 +118,6 @@ def parse_sutherland(text, ell: int | None = None, name: str | None = None) -> S
     if not triples:
         raise SutherlandParseError("no coefficient lines found")
     level = ell if ell is not None else header_ell
-    if level is None and name:
-        digits = re.findall(r"(\d+)", os.path.basename(name))
-        if digits:
-            level = int(digits[-1])
     if level is None:
         top = max(m for m, _, _ in triples)
         if any(m == top and n == 0 and v == 1 for m, n, v in triples):
@@ -131,7 +129,7 @@ def parse_sutherland(text, ell: int | None = None, name: str | None = None) -> S
 
 def load_sutherland(path: str, ell: int | None = None) -> SutherlandFile:
     with open(path, "rb") as fh:
-        return parse_sutherland(fh.read(), ell=ell, name=path)
+        return parse_sutherland(fh.read(), ell=ell)
 
 
 def emit_polynomial_json(poly: ModularPolynomial) -> str:
@@ -165,7 +163,6 @@ class RunConfig:
     ell: int
     m_max: int | None = None
     precision_override: int | None = None
-    output_path: str | None = None
     check_set: tuple = ROW_CHECKS
 
     def __post_init__(self):
@@ -206,12 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeff", help="one coefficient a_{ell,ell-m}")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--method", choices=("closed", "recurrence", "small"), default="closed")
     common(p)
 
     p = sub.add_parser("row", help="the row a_{ell,ell-m} for m = 0..m-max")
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--method", choices=("closed", "recurrence"), default="recurrence")
     common(p)
 
     p = sub.add_parser("poly", help="solve the full polynomial (JSON by default)")
@@ -255,14 +250,7 @@ def _cmd_jcoeff(args) -> int:
 
 def _cmd_coeff(args) -> int:
     cfg = RunConfig(ell=args.ell, m_max=args.m)
-    req = CoeffRequest(cfg.ell, args.m)
-    j = j_coefficients(max(args.m, 1))
-    if args.method == "closed":
-        value = closed_row(cfg.ell, j, args.m)[args.m]
-    elif args.method == "recurrence":
-        value = coeff_recurrence(cfg.ell, args.m, j)
-    else:
-        value = coeff_small_m(req, j)
+    value = closed_row(cfg.ell, j_coefficients(max(args.m, 1)), args.m)[args.m]
     if args.format == "json":
         doc = {"ell": cfg.ell, "m": args.m, "value": str(value)}
         _deliver(json.dumps(doc, indent=2) + "\n", args)
@@ -274,11 +262,7 @@ def _cmd_coeff(args) -> int:
 def _cmd_row(args) -> int:
     cfg = RunConfig(ell=args.ell, m_max=args.m_max)
     m_max = cfg.m_max if cfg.m_max is not None else cfg.ell
-    j = j_coefficients(max(m_max, 1))
-    if args.method == "closed":
-        row = closed_row(cfg.ell, j, m_max)
-    else:
-        row = recurrence_row(cfg.ell, j, m_max)
+    row = closed_row(cfg.ell, j_coefficients(max(m_max, 1)), m_max)
     if args.format == "json":
         doc = {
             "ell": cfg.ell,
@@ -292,7 +276,7 @@ def _cmd_row(args) -> int:
 
 def _cmd_poly(args) -> int:
     cfg = RunConfig(ell=args.ell, precision_override=args.precision)
-    count = cfg.precision_override or cfg.ell * cfg.ell + cfg.ell + 2
+    count = cfg.precision_override or solver_precision(cfg.ell)
     poly = solve_full_polynomial(cfg.ell, j_coefficients(count))
     if args.format == "text":
         _deliver(emit_sutherland_text(poly), args)
@@ -344,9 +328,9 @@ def _cmd_check(args) -> int:
         if poly is not None:
             row = poly.top_row()[1:]
         elif cfg.ell == 2:
-            row = solve_full_polynomial(2, j_coefficients(8)).top_row()[1:]
+            row = solve_full_polynomial(2, j_coefficients(solver_precision(2))).top_row()[1:]
         else:
-            row = recurrence_row(cfg.ell, j_coefficients(cfg.ell))[1:]
+            row = closed_row(cfg.ell, j_coefficients(cfg.ell))[1:]
         report = report.merge(check_row(cfg.ell, row, row_checks))
     if "conj12" in cfg.check_set:
         if poly is None:
@@ -355,7 +339,7 @@ def _cmd_check(args) -> int:
                     "full-table checks for ell=%d need --file; the reference solver "
                     "is limited to ell <= %d" % (cfg.ell, SOLVER_FEASIBLE_MAX)
                 )
-            poly = solve_full_polynomial(cfg.ell, j_coefficients(cfg.ell * cfg.ell + cfg.ell + 2))
+            poly = solve_full_polynomial(cfg.ell, j_coefficients(solver_precision(cfg.ell)))
         report = report.merge(check_conjecture_div(poly))
 
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
@@ -385,7 +369,7 @@ def _cmd_crosscheck(args) -> int:
         "recurrence": recurrence_row(cfg.ell, j, m_max),
     }
     if cfg.ell <= SOLVER_FEASIBLE_MAX:
-        solved = solve_full_polynomial(cfg.ell, j_coefficients(cfg.ell * cfg.ell + cfg.ell + 2))
+        solved = solve_full_polynomial(cfg.ell, j_coefficients(solver_precision(cfg.ell)))
         sources["solver"] = solved.top_row()[: m_max + 1]
     partition = [
         coeff_closed(CoeffRequest(cfg.ell, m), j)

@@ -233,6 +233,16 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
     return lhs == rhs
 
 
+# Largest level the CLI hands to the full solver (check --set conj12
+# without --file, and crosscheck's third oracle); ell=17 takes seconds.
+SOLVER_FEASIBLE_MAX = 13
+
+
+def solver_precision(ell: int) -> int:
+    """j coefficients the full solver needs at level ell: ell^2 + ell + 2."""
+    return ell * ell + ell + 2
+
+
 def _spread_series(j: JTable, ell: int) -> IntSeries:
     # j(ell*z): coefficient c_{i-1} moves to exponent ell*(i-1)
     K = j.count
@@ -276,7 +286,7 @@ def solve_full_polynomial(ell: int, j: JTable) -> ModularPolynomial:
     """
     if not is_prime(ell):
         raise ValueError("ell must be prime, got %r" % (ell,))
-    need = ell * ell + ell + 2
+    need = solver_precision(ell)
     if j.count < need:
         raise PrecisionError(
             "solving level %d needs at least %d j coefficients, table has %d"

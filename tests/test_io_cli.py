@@ -16,6 +16,7 @@ from modpoly import (
     RunConfig,
     SutherlandParseError,
     UsageError,
+    check_row,
     cli_main,
     emit_polynomial_json,
     emit_sutherland_text,
@@ -23,6 +24,7 @@ from modpoly import (
     load_sutherland,
     parse_sutherland,
     read_polynomial_json,
+    recurrence_row,
     solve_full_polynomial,
 )
 from modpoly import io_cli
@@ -84,12 +86,10 @@ def test_parse_rejects_empty_input():
 def test_level_inference_chain():
     body = "[3,0] 1\n[2,2] -1\n[1,0] 7\n"
     # explicit argument wins
-    assert parse_sutherland(body, ell=2, name="phi7.txt").ell == 2
+    assert parse_sutherland(body, ell=2).ell == 2
     # then a header comment
-    assert parse_sutherland("# ell = 2\n" + body, name="phi7.txt").ell == 2
+    assert parse_sutherland("# ell = 2\n" + body).ell == 2
     assert parse_sutherland("# Level: 2\n" + body).ell == 2
-    # then digits in the file name
-    assert parse_sutherland(body, name="tables/phi7.txt").ell == 7
     # then the monic boundary entry [M,0] 1
     assert parse_sutherland(body).ell == 2
     # otherwise the largest m seen
@@ -208,20 +208,9 @@ def test_cli_jcoeff_json(capsys):
 
 def test_cli_coeff_closed_at_large_m(capsys):
     # p(90) is about 5.7e7 partitions; the grouped closed form answers at once
-    args = ("coeff", "--ell", "97", "--m", "90", "--method")
-    code_c, out_c, _ = run_cli(capsys, *args, "closed")
-    code_r, out_r, _ = run_cli(capsys, *args, "recurrence")
-    assert code_c == code_r == 0
-    assert out_c == out_r
-
-
-def test_cli_coeff_all_methods(capsys):
-    for method in ("closed", "recurrence", "small"):
-        code, out, _ = run_cli(
-            capsys, "coeff", "--ell", "5", "--m", "1", "--method", method
-        )
-        assert code == 0
-        assert out == "3720\n"
+    code, out, _ = run_cli(capsys, "coeff", "--ell", "97", "--m", "90")
+    assert code == 0
+    assert out == "%d\n" % recurrence_row(97, j_coefficients(90), 90)[90]
 
 
 def test_cli_coeff_json(capsys):
@@ -239,14 +228,11 @@ def test_cli_row_matches_table(capsys):
     assert got == [PHI5_FACTORED[(5 - m, 5)] for m in range(6)]
 
 
-def test_cli_row_m_max_and_method(capsys):
-    code_a, out_a, _ = run_cli(capsys, "row", "--ell", "7", "--m-max", "3")
-    code_b, out_b, _ = run_cli(
-        capsys, "row", "--ell", "7", "--m-max", "3", "--method", "closed"
-    )
-    assert code_a == code_b == 0
-    assert out_a == out_b
-    assert len(out_a.splitlines()) == 4
+def test_cli_row_m_max_matches_recurrence(capsys):
+    code, out, _ = run_cli(capsys, "row", "--ell", "7", "--m-max", "3")
+    assert code == 0
+    expected = recurrence_row(7, j_coefficients(3), 3)
+    assert out == "".join("%d %d\n" % (m, v) for m, v in enumerate(expected))
 
 
 def test_cli_poly_json_matches_solver(capsys):
@@ -293,6 +279,14 @@ def test_cli_check_json_format(capsys):
     assert all(c["verdict"] == "pass" for c in doc["checks"])
 
 
+@pytest.mark.parametrize("ell", [3, 5, 13, 97])
+def test_cli_check_json_matches_recurrence_row(capsys, ell):
+    code, out, _ = run_cli(capsys, "check", "--ell", str(ell), "--format", "json")
+    assert code == 0
+    expected = check_row(ell, recurrence_row(ell, j_coefficients(ell))[1:])
+    assert json.loads(out) == expected.to_json_dict()
+
+
 def test_cli_check_conj12_via_solver(capsys):
     code, out, _ = run_cli(capsys, "check", "--ell", "7", "--set", "conj12")
     assert code == 0
@@ -322,6 +316,14 @@ def test_cli_check_file_level_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--ell", "7", "--file", str(path))
     assert code == 2
     assert "level" in err
+
+
+def test_cli_check_file_level_ignores_digits_in_the_file_name(tmp_path, capsys):
+    path = tmp_path / "phi7_2024.txt"
+    path.write_text(emit_sutherland_text(solve_full_polynomial(7, j_coefficients(58))))
+    code, out, err = run_cli(capsys, "check", "--ell", "7", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert "result: OK" in out
 
 
 def test_cli_check_fatal_exit_code(tmp_path, capsys):
@@ -395,6 +397,8 @@ def test_cli_usage_errors(capsys):
         ("coeff", "--ell", "5"),                   # missing required flag
         ("coeff", "--ell", "abc", "--m", "1"),     # unparsable int
         ("row", "--ell", "5", "--m-max", "9"),     # m out of range
+        ("coeff", "--ell", "5", "--m", "1", "--method", "small"),  # option removed
+        ("row", "--ell", "5", "--method", "recurrence"),           # option removed
         ("jcoeff", "--count", "0"),                # nonpositive count
         ("check", "--ell", "5", "--set", "bogus"),
         ("nonsense",),                             # unknown command
