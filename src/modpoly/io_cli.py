@@ -162,7 +162,6 @@ def emit_sutherland_text(poly: ModularPolynomial) -> str:
 class RunConfig:
     ell: int
     m_max: int | None = None
-    precision_override: int | None = None
     check_set: tuple = ROW_CHECKS
 
     def __post_init__(self):
@@ -170,8 +169,6 @@ class RunConfig:
             raise UsageError("--ell must be prime, got %r" % (self.ell,))
         if self.m_max is not None and not 0 <= self.m_max <= self.ell:
             raise UsageError("--m-max must lie in [0, ell]")
-        if self.precision_override is not None and self.precision_override < 1:
-            raise UsageError("--precision must be positive")
         bad = [c for c in self.check_set if c not in ALL_CHECKS]
         if bad:
             raise UsageError(
@@ -210,8 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("poly", help="solve the full polynomial (JSON by default)")
-    p.add_argument("--precision", type=int, default=None,
-                   help="j coefficient count for the solve (default ell^2+ell+2)")
     common(p)
     p.set_defaults(format="json")
 
@@ -248,8 +243,17 @@ def _cmd_jcoeff(args) -> int:
     return 0
 
 
+def _top_row_config(args, m: int | None, flag: str) -> RunConfig:
+    """Level check of the top-row commands, naming the option the user typed."""
+    if not is_prime(args.ell) or args.ell < 3:
+        raise UsageError("%s needs --ell a prime >= 3, got %d" % (args.command, args.ell))
+    if m is not None and not 0 <= m <= args.ell:
+        raise UsageError("%s must lie in [0, %d], got %d" % (flag, args.ell, m))
+    return RunConfig(ell=args.ell, m_max=m)
+
+
 def _cmd_coeff(args) -> int:
-    cfg = RunConfig(ell=args.ell, m_max=args.m)
+    cfg = _top_row_config(args, args.m, "--m")
     value = closed_row(cfg.ell, j_coefficients(max(args.m, 1)), args.m)[args.m]
     if args.format == "json":
         doc = {"ell": cfg.ell, "m": args.m, "value": str(value)}
@@ -260,7 +264,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_row(args) -> int:
-    cfg = RunConfig(ell=args.ell, m_max=args.m_max)
+    cfg = _top_row_config(args, args.m_max, "--m-max")
     m_max = cfg.m_max if cfg.m_max is not None else cfg.ell
     row = closed_row(cfg.ell, j_coefficients(max(m_max, 1)), m_max)
     if args.format == "json":
@@ -275,9 +279,8 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    cfg = RunConfig(ell=args.ell, precision_override=args.precision)
-    count = cfg.precision_override or solver_precision(cfg.ell)
-    poly = solve_full_polynomial(cfg.ell, j_coefficients(count))
+    cfg = RunConfig(ell=args.ell)
+    poly = solve_full_polynomial(cfg.ell, j_coefficients(solver_precision(cfg.ell)))
     if args.format == "text":
         _deliver(emit_sutherland_text(poly), args)
     else:
@@ -313,6 +316,7 @@ def _report_text(report: CongruenceReport) -> str:
 def _cmd_check(args) -> int:
     check_set = tuple(s.strip() for s in args.set.split(",") if s.strip())
     cfg = RunConfig(ell=args.ell, check_set=check_set)
+    row_checks = tuple(c for c in cfg.check_set if c in ROW_CHECKS)
     poly = None
     if args.file:
         parsed = load_sutherland(args.file)
@@ -321,25 +325,23 @@ def _cmd_check(args) -> int:
                 "file is for level %d but --ell %d was requested" % (parsed.ell, cfg.ell)
             )
         poly = parsed.to_polynomial()
+    elif "conj12" in cfg.check_set or (row_checks and cfg.ell == 2):
+        # conj12 reads the whole table, and no top-row formula covers ell = 2
+        if cfg.ell > SOLVER_FEASIBLE_MAX:
+            raise ValueError(
+                "full-table checks for ell=%d need --file; the reference solver "
+                "is limited to ell <= %d" % (cfg.ell, SOLVER_FEASIBLE_MAX)
+            )
+        poly = solve_full_polynomial(cfg.ell, j_coefficients(solver_precision(cfg.ell)))
 
     report = CongruenceReport(cfg.ell)
-    row_checks = tuple(c for c in cfg.check_set if c in ROW_CHECKS)
     if row_checks:
-        if poly is not None:
+        if args.file or cfg.ell == 2:
             row = poly.top_row()[1:]
-        elif cfg.ell == 2:
-            row = solve_full_polynomial(2, j_coefficients(solver_precision(2))).top_row()[1:]
         else:
             row = closed_row(cfg.ell, j_coefficients(cfg.ell))[1:]
         report = report.merge(check_row(cfg.ell, row, row_checks))
     if "conj12" in cfg.check_set:
-        if poly is None:
-            if cfg.ell > SOLVER_FEASIBLE_MAX:
-                raise ValueError(
-                    "full-table checks for ell=%d need --file; the reference solver "
-                    "is limited to ell <= %d" % (cfg.ell, SOLVER_FEASIBLE_MAX)
-                )
-            poly = solve_full_polynomial(cfg.ell, j_coefficients(solver_precision(cfg.ell)))
         report = report.merge(check_conjecture_div(poly))
 
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
@@ -359,9 +361,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    cfg = RunConfig(ell=args.ell, m_max=args.m_max)
-    if cfg.ell < 3:
-        raise UsageError("crosscheck needs ell >= 3")
+    cfg = _top_row_config(args, args.m_max, "--m-max")
     m_max = cfg.m_max if cfg.m_max is not None else cfg.ell
     j = j_coefficients(max(m_max, 1))
     sources = {

@@ -179,8 +179,6 @@ def test_run_config_validation():
     with pytest.raises(UsageError):
         RunConfig(ell=5, m_max=9)
     with pytest.raises(UsageError):
-        RunConfig(ell=5, precision_override=0)
-    with pytest.raises(UsageError):
         RunConfig(ell=5, check_set=("prop22", "bogus"))
 
 
@@ -293,6 +291,24 @@ def test_cli_check_conj12_via_solver(capsys):
     assert "conj12" in out
 
 
+def test_cli_check_level_two_solves_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(ell, j):
+        calls.append(ell)
+        return solve_full_polynomial(ell, j)
+
+    monkeypatch.setattr(io_cli, "solve_full_polynomial", counted)
+    code, out, _ = run_cli(capsys, "check", "--ell", "2", "--set", "prop23,conj12")
+    assert (code, calls) == (0, [2])
+    assert out == (
+        "conj12: 8 checked, 0 failed\n"
+        "prop23: 2 checked, 0 failed\n"
+        "note: unclaimed_mod3_indivisible_by_3: 0 of 0\n"
+        "result: OK\n"
+    )
+
+
 def test_cli_check_conj12_infeasible_without_file(capsys):
     code, _, err = run_cli(capsys, "check", "--ell", "17", "--set", "conj12")
     assert code == 2
@@ -399,6 +415,10 @@ def test_cli_usage_errors(capsys):
         ("row", "--ell", "5", "--m-max", "9"),     # m out of range
         ("coeff", "--ell", "5", "--m", "1", "--method", "small"),  # option removed
         ("row", "--ell", "5", "--method", "recurrence"),           # option removed
+        ("poly", "--ell", "5", "--precision", "20"),               # option removed
+        ("coeff", "--ell", "2", "--m", "1"),       # no top-row formula at ell = 2
+        ("row", "--ell", "2"),
+        ("crosscheck", "--ell", "2"),
         ("jcoeff", "--count", "0"),                # nonpositive count
         ("check", "--ell", "5", "--set", "bogus"),
         ("nonsense",),                             # unknown command
@@ -407,11 +427,11 @@ def test_cli_usage_errors(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
+    code, _, err = run_cli(capsys, "coeff", "--ell", "5", "--m", "9")
+    assert code == 1 and err.startswith("error: --m must lie in [0, 5]")
 
 
 def test_cli_computation_errors(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "poly", "--ell", "5", "--precision", "20")
-    assert code == 2 and "error:" in err
     code, _, err = run_cli(
         capsys, "check", "--ell", "5", "--file", str(tmp_path / "missing.txt")
     )

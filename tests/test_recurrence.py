@@ -12,6 +12,7 @@ from modpoly import (
     JTable,
     ModularPolynomial,
     PartitionTerm,
+    PrecisionError,
     closed_row,
     coeff_recurrence,
     d_weight,
@@ -232,20 +233,28 @@ def test_solver_level_seven_vanishing_corner():
 
 
 def test_solver_residual_vanishes():
-    for ell, count in ((2, 8), (3, 14)):
+    for ell, count in ((2, 8), (3, 14), (5, 60), (7, 120)):
         poly = solve_full_polynomial(ell, j_coefficients(count))
         residual = polynomial_residual(poly, j_coefficients(count))
         assert not residual.coeffs, residual
-        assert residual.precision > 0
+        assert residual.precision == count - ell * ell - ell + 1
 
 
 def test_residual_detects_corruption():
-    poly = solve_full_polynomial(2, j_coefficients(8))
-    entries = {(m, n): v for m, n, v in poly.items()}
-    entries[(1, 0)] += 1
-    bad = ModularPolynomial(2, entries)
-    residual = polynomial_residual(bad, j_coefficients(8))
-    assert residual.coeffs
+    for ell in (2, 11):
+        j = j_coefficients(ell * ell + ell + 2)
+        entries = {(m, n): v for m, n, v in solve_full_polynomial(ell, j).items()}
+        entries[(1, 0)] += 1
+        residual = polynomial_residual(ModularPolynomial(ell, entries), j)
+        assert residual.coeffs, ell
+
+
+def test_residual_refuses_short_tables():
+    entries = dict(PHI5_FACTORED)
+    entries[(0, 1)] += 1
+    with pytest.raises(PrecisionError):
+        polynomial_residual(ModularPolynomial(5, entries), j_coefficients(20))
+    assert polynomial_residual(ModularPolynomial(5, entries), j_coefficients(32)).coeffs
 
 
 def test_solver_requires_precision():
