@@ -169,6 +169,8 @@ class RunConfig:
             raise UsageError("--ell must be prime, got %r" % (self.ell,))
         if self.m_max is not None and not 0 <= self.m_max <= self.ell:
             raise UsageError("--m-max must lie in [0, ell]")
+        if not self.check_set:
+            raise UsageError("--set names no checks (choose from %s)" % ",".join(ALL_CHECKS))
         bad = [c for c in self.check_set if c not in ALL_CHECKS]
         if bad:
             raise UsageError(

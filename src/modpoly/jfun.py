@@ -8,13 +8,18 @@ Everything is derived from three classical series:
 * the weight-4 Eisenstein series E4 = 1 + 240 * sum sigma_3(n) q^n.
 
 The j-invariant is the quotient E4^3 / Delta = 1/q + 744 + 196884 q + ...
-Its coefficients c_i (i >= -1) are what the closed coefficient formulas
+j_coefficients builds it without a series inverse: the coefficients a_n
+of prod (1 - q^n)^24 follow from the logarithmic derivative,
+n a_n = -24 sum_{k=1..n} sigma_1(k) a_{n-k}, with one divisor sieve shared
+with E4, and j * Delta = E4^3 is then solved for j term by term.  Its
+coefficients c_i (i >= -1) are what the closed coefficient formulas
 consume, packaged in a JTable indexed from -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .qseries import IntSeries
 
@@ -48,16 +53,22 @@ def delta_series(precision: int) -> IntSeries:
     return eta24.shift(1)
 
 
+def _divisor_sums(precision: int, power: int) -> list:
+    """[sigma_power(n) for n < precision], with 0 at n = 0."""
+    sums = [0] * precision
+    for d in range(1, precision):
+        dp = d ** power
+        for n in range(d, precision, d):
+            sums[n] += dp
+    return sums
+
+
 def e4_series(precision: int) -> IntSeries:
     """Eisenstein series of weight 4: constant term 1, then 240*sigma_3(n)."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    coeffs = [0] * precision
+    coeffs = [240 * s for s in _divisor_sums(precision, 3)]
     coeffs[0] = 1
-    for d in range(1, precision):
-        cube240 = 240 * d * d * d
-        for n in range(d, precision, d):
-            coeffs[n] += cube240
     return IntSeries(0, coeffs, precision)
 
 
@@ -113,11 +124,34 @@ class JTable:
         return IntSeries(0, self.values[:precision], precision)
 
 
+def _eta24_coefficients(precision: int) -> list:
+    """a_0 .. a_{precision-1} of prod (1 - q^n)^24, each division checked.
+
+    Taking the logarithmic derivative gives
+    n a_n = -24 sum_{k=1..n} sigma_1(k) a_{n-k}.
+    """
+    sigma = _divisor_sums(precision, 1)
+    a = [1] + [0] * (precision - 1)
+    for n in range(1, precision):
+        acc = sum(map(mul, sigma[1 : n + 1], reversed(a[:n])))
+        quotient, remainder = divmod(-24 * acc, n)
+        if remainder:
+            raise ArithmeticError("coefficient %d of eta^24 is not an integer" % n)
+        a[n] = quotient
+    return a
+
+
 def j_coefficients(count: int) -> JTable:
-    """Compute c_{-1} .. c_{count-1} exactly as E4^3 / Delta."""
+    """Compute c_{-1} .. c_{count-1} exactly from j * Delta = E4^3.
+
+    With Delta = q * sum a_k q^k and a_0 = 1, the coefficient of q^i reads
+    c_{i-1} = [q^i] E4^3 - sum_{k=1..i} a_k c_{i-1-k}.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
-    e4cubed = e4_series(count + 1) ** 3
-    inv_delta = delta_series(count + 2).invert(count)
-    j = e4cubed * inv_delta
-    return JTable(tuple(j.coefficient(i) for i in range(-1, count)))
+    e4cubed = (e4_series(count + 1) ** 3).coeffs
+    a = _eta24_coefficients(count + 1)
+    values = []
+    for i in range(count + 1):
+        values.append(e4cubed[i] - sum(map(mul, a[1 : i + 1], reversed(values))))
+    return JTable(tuple(values))

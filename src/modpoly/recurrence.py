@@ -105,8 +105,11 @@ _ROW_CACHE: dict = {}
 def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     """[a_{ell,ell-m} for m = 0..m_max] via the power-series recurrence.
 
-    Rows are memoized per (ell, j-prefix); concurrent calls for distinct
-    ell are safe, the worst interleaving recomputes a row.
+    The recurrence reads jhat^k only at exponents <= k - ell + m_max, a
+    triangle: jhat^ell is formed once, and each lower power is the one
+    above times 1/jhat, cut to the precision that is read.  Powers below
+    precision 2 are never read and never built.  Rows are memoized per
+    (ell, j-prefix).
     """
     if ell < 3 or not is_prime(ell):
         raise ValueError("ell must be a prime >= 3, got %r" % (ell,))
@@ -123,9 +126,11 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
 
     prec = m_max + 1
     hat = j.hat_series(prec)
-    powers = [IntSeries.one(prec)]
-    for _ in range(ell):
-        powers.append(powers[-1] * hat)
+    inv = hat.invert(prec)
+    powers = {ell: hat ** ell}
+    for k in range(ell, ell - m_max + 1, -1):
+        p = k - ell + m_max  # jhat^(k-1) is read below q^p
+        powers[k - 1] = powers[k].truncate(p) * inv.truncate(p)
 
     row = [-1]
     for m in range(1, m_max + 1):

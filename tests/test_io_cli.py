@@ -180,6 +180,8 @@ def test_run_config_validation():
         RunConfig(ell=5, m_max=9)
     with pytest.raises(UsageError):
         RunConfig(ell=5, check_set=("prop22", "bogus"))
+    with pytest.raises(UsageError):
+        RunConfig(ell=5, check_set=())
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -421,6 +423,7 @@ def test_cli_usage_errors(capsys):
         ("crosscheck", "--ell", "2"),
         ("jcoeff", "--count", "0"),                # nonpositive count
         ("check", "--ell", "5", "--set", "bogus"),
+        ("check", "--ell", "5", "--set", ","),    # empty check set
         ("nonsense",),                             # unknown command
     ]
     for argv in cases:

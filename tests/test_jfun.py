@@ -11,6 +11,7 @@ from modpoly import (
     j_coefficients,
     ord_p,
 )
+from modpoly import jfun
 
 # c_0 .. c_6, frozen reference values
 JCOEFFS = (744, 196884, 21493760, 864299970, 20245856256, 333202640600, 4252023300096)
@@ -63,6 +64,27 @@ def test_j_satisfies_defining_quotient():
     rhs = e4_series(count + 1) ** 3
     prec = min(lhs.precision, rhs.precision)
     assert lhs.truncate(prec) == rhs.truncate(prec)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 60, 400])
+def test_j_matches_series_quotient_oracle(count):
+    # the independent route: E4^3 times the series inverse of Delta
+    quotient = e4_series(count + 1) ** 3 * delta_series(count + 2).invert(count)
+    assert j_coefficients(count).values == tuple(quotient.coefficient(i) for i in range(-1, count))
+
+
+def test_j_refuses_a_corrupted_divisor_sum(monkeypatch):
+    sieve = jfun._divisor_sums
+
+    def corrupted(precision, power):
+        sums = sieve(precision, power)
+        if power == 1:
+            sums[5] += 1
+        return sums
+
+    monkeypatch.setattr(jfun, "_divisor_sums", corrupted)
+    with pytest.raises(ArithmeticError):
+        j_coefficients(10)
 
 
 def test_prefix_stability():

@@ -26,6 +26,7 @@ from modpoly import (
     term_weight,
     verify_d_recurrence,
 )
+from modpoly import recurrence
 
 J = j_coefficients(60)
 
@@ -90,6 +91,16 @@ def test_recurrence_row_matches_level_five_table():
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
 def test_recurrence_agrees_with_closed_form(ell):
     assert recurrence_row(ell, J) == closed_row(ell, J)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 31, 97])
+def test_recurrence_row_triangle_boundary(ell):
+    # the shortest table allowed and an empty memo, so a power built one
+    # coefficient short raises PrecisionError instead of being masked
+    for m_max in sorted({0, 1, ell // 2, ell - 1, ell}):
+        recurrence._ROW_CACHE.clear()
+        j = j_coefficients(max(m_max, 1))
+        assert recurrence_row(ell, j, m_max) == closed_row(ell, j, m_max), m_max
 
 
 def test_recurrence_row_prefix():
