@@ -14,7 +14,6 @@ from .comb import (
     binomial,
     full_multinomial,
     is_prime,
-    multinomial_top,
     partitions,
     primes_upto,
     stirling_first,
@@ -29,12 +28,10 @@ from .closedform import (
     term_weight,
 )
 from .recurrence import (
-    DWeight,
     InconsistentSystemError,
     ModularPolynomial,
     coeff_recurrence,
     d_weight,
-    jhat_power_coeff,
     polynomial_residual,
     recurrence_row,
     solve_full_polynomial,
@@ -55,7 +52,6 @@ from .congruence import (
     required_two_valuation,
 )
 from .io_cli import (
-    RunConfig,
     SutherlandFile,
     SutherlandParseError,
     UsageError,
@@ -72,17 +68,16 @@ __version__ = "0.1.0"
 __all__ = [
     "IntSeries", "PrecisionError",
     "JTable", "delta_series", "e4_series", "euler_factor_series", "j_coefficients",
-    "PartitionTerm", "binomial", "full_multinomial", "is_prime", "multinomial_top",
-    "partitions", "primes_upto", "stirling_first", "stirling_second",
+    "PartitionTerm", "binomial", "full_multinomial", "is_prime", "partitions",
+    "primes_upto", "stirling_first", "stirling_second",
     "CoeffRequest", "IntegralityError", "closed_row", "coeff_closed", "coeff_small_m",
     "term_weight",
-    "DWeight", "InconsistentSystemError", "ModularPolynomial", "coeff_recurrence",
-    "d_weight", "jhat_power_coeff", "polynomial_residual", "recurrence_row",
-    "solve_full_polynomial", "verify_d_recurrence",
+    "InconsistentSystemError", "ModularPolynomial", "coeff_recurrence", "d_weight",
+    "polynomial_residual", "recurrence_row", "solve_full_polynomial", "verify_d_recurrence",
     "ALL_CHECKS", "INFINITE", "ROW_CHECKS", "CheckRecord", "CongruenceReport",
     "Valuation", "check_conjecture_div", "check_row", "five_predicted", "ord_p",
     "required_three_valuation", "required_two_valuation",
-    "RunConfig", "SutherlandFile", "SutherlandParseError", "UsageError", "cli_main",
+    "SutherlandFile", "SutherlandParseError", "UsageError", "cli_main",
     "emit_polynomial_json", "emit_sutherland_text", "load_sutherland",
     "parse_sutherland", "read_polynomial_json",
     "__version__",

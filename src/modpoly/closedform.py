@@ -95,10 +95,7 @@ def coeff_closed(req: CoeffRequest, j: JTable) -> int:
     ell, m = req.ell, req.m
     if m == 0:
         return -1
-    if j.count < m:
-        raise ValueError(
-            "need j coefficients c_0..c_%d but table stops at c_%d" % (m - 1, j.count - 1)
-        )
+    j.require(m)
     c = j.values  # c[i] holds c_{i-1}, so c_{r-1} is c[r]
     total = 0
     for term in partitions(m):
@@ -127,10 +124,7 @@ def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     if m_max is None:
         m_max = ell
     CoeffRequest(ell, m_max)  # validates ell and m_max
-    if j.count < m_max:
-        raise ValueError(
-            "need j coefficients c_0..c_%d but table stops at c_%d" % (m_max - 1, j.count - 1)
-        )
+    j.require(m_max)
     J = [0] + list(j.values[1 : m_max + 1])  # J[r] = c_{r-1}
     row = [-1] + [0] * m_max
     power = J  # J^k, zero below q^k
@@ -165,10 +159,7 @@ def coeff_small_m(req: CoeffRequest, j: JTable) -> int:
         raise ValueError("small-m path covers 1 <= m <= 7, got m=%d" % m)
     if m >= ell:
         raise ValueError("small-m path needs m < ell, got m=%d, ell=%d" % (m, ell))
-    if j.count < m:
-        raise ValueError(
-            "need j coefficients c_0..c_%d but table stops at c_%d" % (m - 1, j.count - 1)
-        )
+    j.require(m)
     L = ell
     c0 = j[0]
     if m == 1:

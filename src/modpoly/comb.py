@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 
@@ -75,19 +74,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0:
         raise ValueError("binomial needs k >= 0, got %d" % k)
     return math.comb(n, k)
-
-
-def multinomial_top(u: int, t) -> Fraction:
-    """u! / (t_1! * ... * t_k!) as an exact fraction, requiring u = sum(t) - 1."""
-    t = tuple(t)
-    if any(ti < 0 for ti in t):
-        raise ValueError("multiplicities must be nonnegative")
-    if u != sum(t) - 1:
-        raise ValueError("u must equal sum(t) - 1, got u=%d for t=%r" % (u, t))
-    den = 1
-    for ti in t:
-        den *= math.factorial(ti)
-    return Fraction(math.factorial(u), den)
 
 
 def full_multinomial(n: int, parts) -> int:

@@ -158,26 +158,6 @@ def emit_sutherland_text(poly: ModularPolynomial) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    ell: int
-    m_max: int | None = None
-    check_set: tuple = ROW_CHECKS
-
-    def __post_init__(self):
-        if not is_prime(self.ell):
-            raise UsageError("--ell must be prime, got %r" % (self.ell,))
-        if self.m_max is not None and not 0 <= self.m_max <= self.ell:
-            raise UsageError("--m-max must lie in [0, ell]")
-        if not self.check_set:
-            raise UsageError("--set names no checks (choose from %s)" % ",".join(ALL_CHECKS))
-        bad = [c for c in self.check_set if c not in ALL_CHECKS]
-        if bad:
-            raise UsageError(
-                "unknown checks: %s (choose from %s)" % (",".join(bad), ",".join(ALL_CHECKS))
-            )
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -190,11 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", metavar="command")
 
-    def common(p, ell=True):
+    def common(p, ell=True, output=True):
         if ell:
             p.add_argument("--ell", type=int, required=True, help="prime level")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+        if output:
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
     p = sub.add_parser("jcoeff", help="print j-invariant coefficients c_{-1}..c_{N-1}")
     p.add_argument("--count", type=int, required=True)
@@ -220,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="assert closed = recurrence (= solver when feasible)")
     p.add_argument("--m-max", type=int, default=None)
-    common(p)
+    common(p, output=False)
 
     return top
 
@@ -245,20 +226,19 @@ def _cmd_jcoeff(args) -> int:
     return 0
 
 
-def _top_row_config(args, m: int | None, flag: str) -> RunConfig:
-    """Level check of the top-row commands, naming the option the user typed."""
-    if not is_prime(args.ell) or args.ell < 3:
-        raise UsageError("%s needs --ell a prime >= 3, got %d" % (args.command, args.ell))
+def _check_level(args, least: int, m: int | None = None, flag: str = "") -> None:
+    """Raise UsageError unless --ell is a prime >= least and m lies in [0, ell]."""
+    if args.ell < least or not is_prime(args.ell):
+        raise UsageError("%s needs --ell a prime >= %d, got %d" % (args.command, least, args.ell))
     if m is not None and not 0 <= m <= args.ell:
         raise UsageError("%s must lie in [0, %d], got %d" % (flag, args.ell, m))
-    return RunConfig(ell=args.ell, m_max=m)
 
 
 def _cmd_coeff(args) -> int:
-    cfg = _top_row_config(args, args.m, "--m")
-    value = closed_row(cfg.ell, j_coefficients(max(args.m, 1)), args.m)[args.m]
+    _check_level(args, 3, args.m, "--m")
+    value = closed_row(args.ell, j_coefficients(max(args.m, 1)), args.m)[args.m]
     if args.format == "json":
-        doc = {"ell": cfg.ell, "m": args.m, "value": str(value)}
+        doc = {"ell": args.ell, "m": args.m, "value": str(value)}
         _deliver(json.dumps(doc, indent=2) + "\n", args)
     else:
         _deliver("%d\n" % value, args)
@@ -266,12 +246,12 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_row(args) -> int:
-    cfg = _top_row_config(args, args.m_max, "--m-max")
-    m_max = cfg.m_max if cfg.m_max is not None else cfg.ell
-    row = closed_row(cfg.ell, j_coefficients(max(m_max, 1)), m_max)
+    _check_level(args, 3, args.m_max, "--m-max")
+    m_max = args.m_max if args.m_max is not None else args.ell
+    row = closed_row(args.ell, j_coefficients(max(m_max, 1)), m_max)
     if args.format == "json":
         doc = {
-            "ell": cfg.ell,
+            "ell": args.ell,
             "values": [{"m": m, "value": str(v)} for m, v in enumerate(row)],
         }
         _deliver(json.dumps(doc, indent=2) + "\n", args)
@@ -281,8 +261,8 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    cfg = RunConfig(ell=args.ell)
-    poly = solve_full_polynomial(cfg.ell, j_coefficients(solver_precision(cfg.ell)))
+    _check_level(args, 2)
+    poly = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
     if args.format == "text":
         _deliver(emit_sutherland_text(poly), args)
     else:
@@ -317,33 +297,40 @@ def _report_text(report: CongruenceReport) -> str:
 
 def _cmd_check(args) -> int:
     check_set = tuple(s.strip() for s in args.set.split(",") if s.strip())
-    cfg = RunConfig(ell=args.ell, check_set=check_set)
-    row_checks = tuple(c for c in cfg.check_set if c in ROW_CHECKS)
+    _check_level(args, 2)
+    if not check_set:
+        raise UsageError("--set names no checks (choose from %s)" % ",".join(ALL_CHECKS))
+    bad = [c for c in check_set if c not in ALL_CHECKS]
+    if bad:
+        raise UsageError(
+            "unknown checks: %s (choose from %s)" % (",".join(bad), ",".join(ALL_CHECKS))
+        )
+    row_checks = tuple(c for c in check_set if c in ROW_CHECKS)
     poly = None
     if args.file:
         parsed = load_sutherland(args.file)
-        if parsed.ell != cfg.ell:
+        if parsed.ell != args.ell:
             raise ValueError(
-                "file is for level %d but --ell %d was requested" % (parsed.ell, cfg.ell)
+                "file is for level %d but --ell %d was requested" % (parsed.ell, args.ell)
             )
         poly = parsed.to_polynomial()
-    elif "conj12" in cfg.check_set or (row_checks and cfg.ell == 2):
+    elif "conj12" in check_set or (row_checks and args.ell == 2):
         # conj12 reads the whole table, and no top-row formula covers ell = 2
-        if cfg.ell > SOLVER_FEASIBLE_MAX:
+        if args.ell > SOLVER_FEASIBLE_MAX:
             raise ValueError(
                 "full-table checks for ell=%d need --file; the reference solver "
-                "is limited to ell <= %d" % (cfg.ell, SOLVER_FEASIBLE_MAX)
+                "is limited to ell <= %d" % (args.ell, SOLVER_FEASIBLE_MAX)
             )
-        poly = solve_full_polynomial(cfg.ell, j_coefficients(solver_precision(cfg.ell)))
+        poly = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
 
-    report = CongruenceReport(cfg.ell)
+    report = CongruenceReport(args.ell)
     if row_checks:
-        if args.file or cfg.ell == 2:
+        if args.file or args.ell == 2:
             row = poly.top_row()[1:]
         else:
-            row = closed_row(cfg.ell, j_coefficients(cfg.ell))[1:]
-        report = report.merge(check_row(cfg.ell, row, row_checks))
-    if "conj12" in cfg.check_set:
+            row = closed_row(args.ell, j_coefficients(args.ell))[1:]
+        report = report.merge(check_row(args.ell, row, row_checks))
+    if "conj12" in check_set:
         report = report.merge(check_conjecture_div(poly))
 
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
@@ -363,18 +350,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    cfg = _top_row_config(args, args.m_max, "--m-max")
-    m_max = cfg.m_max if cfg.m_max is not None else cfg.ell
+    _check_level(args, 3, args.m_max, "--m-max")
+    m_max = args.m_max if args.m_max is not None else args.ell
     j = j_coefficients(max(m_max, 1))
     sources = {
-        "closed": closed_row(cfg.ell, j, m_max),
-        "recurrence": recurrence_row(cfg.ell, j, m_max),
+        "closed": closed_row(args.ell, j, m_max),
+        "recurrence": recurrence_row(args.ell, j, m_max),
     }
-    if cfg.ell <= SOLVER_FEASIBLE_MAX:
-        solved = solve_full_polynomial(cfg.ell, j_coefficients(solver_precision(cfg.ell)))
+    if args.ell <= SOLVER_FEASIBLE_MAX:
+        solved = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
         sources["solver"] = solved.top_row()[: m_max + 1]
     partition = [
-        coeff_closed(CoeffRequest(cfg.ell, m), j)
+        coeff_closed(CoeffRequest(args.ell, m), j)
         for m in range(min(m_max, PARTITION_CHECK_MAX) + 1)
     ]
 
@@ -393,7 +380,7 @@ def _cmd_crosscheck(args) -> int:
         return 3
     sys.stdout.write(
         "crosscheck: OK (ell=%d, m <= %d, methods: %s)\n"
-        % (cfg.ell, m_max, ",".join(sorted(sources)))
+        % (args.ell, m_max, ",".join(sorted(sources)))
     )
     return 0
 
@@ -427,7 +414,3 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

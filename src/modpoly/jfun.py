@@ -105,14 +105,16 @@ class JTable:
             raise IndexError("coefficient index %d outside [-1, %d)" % (i, self.count))
         return self.values[i + 1]
 
-    def series(self, precision: int | None = None) -> IntSeries:
+    def require(self, count: int) -> None:
+        """Raise ValueError unless c_0 .. c_{count-1} are all in the table."""
+        if self.count < count:
+            raise ValueError(
+                "need j coefficients c_0..c_%d but table stops at c_%d" % (count - 1, self.count - 1)
+            )
+
+    def series(self) -> IntSeries:
         """The j-invariant itself as an IntSeries with base exponent -1."""
-        if precision is None:
-            precision = self.count
-        if precision > self.count:
-            raise ValueError("table holds %d coefficients, cannot reach precision %d"
-                             % (self.count, precision))
-        return IntSeries(-1, self.values[: precision + 1], precision)
+        return IntSeries(-1, self.values, self.count)
 
     def hat_series(self, precision: int) -> IntSeries:
         """q * j = sum_{i>=0} c_{i-1} q^i, the constant-1-leading variant."""

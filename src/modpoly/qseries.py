@@ -67,12 +67,6 @@ class IntSeries:
     def one(cls, precision: int) -> "IntSeries":
         return cls(0, (1,), precision)
 
-    @classmethod
-    def monomial(cls, coefficient: int, exponent: int, precision: int) -> "IntSeries":
-        if exponent >= precision:
-            raise PrecisionError("monomial exponent %d not below precision %d" % (exponent, precision))
-        return cls(exponent, (coefficient,), precision)
-
     # -- queries -------------------------------------------------------
 
     def coefficient(self, k: int) -> int:

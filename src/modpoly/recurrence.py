@@ -1,8 +1,9 @@
 """Independent routes to modular polynomial coefficients.
 
 Three mechanisms live here, all sharing only the j-invariant table with
-the closed formulas in closedform, which is what makes them usable as
-cross-checks:
+the closed formulas in closedform (recurrence_row borrows CoeffRequest
+to validate its inputs, no arithmetic), which is what makes them usable
+as cross-checks:
 
 1. a power-series recurrence: letting jhat = q*j = 1 + 744 q + ..., the
    top-row coefficients satisfy, for 0 < m < ell,
@@ -24,9 +25,9 @@ cross-checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .closedform import CoeffRequest
 from .comb import full_multinomial, is_prime
 from .jfun import JTable
 from .qseries import IntSeries, PrecisionError
@@ -90,15 +91,6 @@ class ModularPolynomial:
         return "ModularPolynomial(ell=%d, %d entries)" % (self.ell, len(self._entries))
 
 
-def jhat_power_coeff(N: int, k: int, j: JTable) -> int:
-    """Coefficient of q^k in (q*j)^N = (sum_{i>=0} c_{i-1} q^i)^N."""
-    if N < 0 or k < 0:
-        raise ValueError("N and k must be nonnegative")
-    if j.count < k:
-        raise ValueError("need %d j coefficients, table has %d" % (k, j.count))
-    return (j.hat_series(k + 1) ** N).coefficient(k)
-
-
 _ROW_CACHE: dict = {}
 
 
@@ -111,14 +103,10 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     precision 2 are never read and never built.  Rows are memoized per
     (ell, j-prefix).
     """
-    if ell < 3 or not is_prime(ell):
-        raise ValueError("ell must be a prime >= 3, got %r" % (ell,))
     if m_max is None:
         m_max = ell
-    if not 0 <= m_max <= ell:
-        raise ValueError("m_max must lie in [0, ell]")
-    if j.count < m_max:
-        raise ValueError("need %d j coefficients, table has %d" % (m_max, j.count))
+    CoeffRequest(ell, m_max)  # validates ell and m_max
+    j.require(m_max)
     key = (ell, j.values[: ell + 1])
     cached = _ROW_CACHE.get(key)
     if cached is not None and len(cached) > m_max:
@@ -153,57 +141,33 @@ def coeff_recurrence(ell: int, m: int, j: JTable) -> int:
     return recurrence_row(ell, j, m)[m]
 
 
-@dataclass(frozen=True)
-class DWeight:
-    """Addresses the split weight d for partition parts r at multiplicities t1.
+def d_weight(ell: int, r, t1, t_full) -> Fraction:
+    """Exact rational split weight d for parts r at sub-multiplicities t1.
 
-    r must be strictly increasing and positive; t1 are the chosen
-    sub-multiplicities, with sum(t1[i] * r[i]) <= ell.
-    """
-
-    ell: int
-    r: tuple
-    t1: tuple
-
-    def __post_init__(self):
-        if len(self.r) != len(self.t1):
-            raise ValueError("r and t1 must have equal length")
-        if any(ri < 1 for ri in self.r):
-            raise ValueError("parts must be positive")
-        if any(a >= b for a, b in zip(self.r, self.r[1:])):
-            raise ValueError("parts must be strictly increasing")
-        if any(ti < 0 for ti in self.t1):
-            raise ValueError("t1 entries must be nonnegative")
-        if sum(ri * ti for ri, ti in zip(self.r, self.t1)) > self.ell:
-            raise ValueError("sum(t1*r) must not exceed ell")
-
-
-def d_weight(w: DWeight, t_full) -> Fraction:
-    """Exact rational value of the split weight, validated against t_full.
-
-    t_full holds the full multiplicities the split was taken from, so
-    every t1[i] must satisfy 0 <= t1[i] <= t_full[i].  For s = sum(t1)
-    and W = sum(t1*r):
+    r must be strictly increasing and positive, and t_full holds the full
+    multiplicities the split was taken from, so 0 <= t1[i] <= t_full[i]
+    and sum(t1 * r) <= ell.  For s = sum(t1) and W = sum(t1*r):
 
         d = (-1)^(s-1) * (1 / prod t1_i!) * ell * (ell-1-W+s)! / (ell-W)!
 
     The all-zero split evaluates to -1, consistent with reading the
     formula at s = 0.
     """
-    t_full = tuple(t_full)
-    if len(t_full) != len(w.t1):
-        raise ValueError("t_full and t1 must have equal length")
-    if any(a > b for a, b in zip(w.t1, t_full)):
-        raise ValueError("split multiplicities exceed the full ones")
-    s = sum(w.t1)
-    W = sum(ri * ti for ri, ti in zip(w.r, w.t1))
+    r, t1, t_full = tuple(r), tuple(t1), tuple(t_full)
+    if not len(r) == len(t1) == len(t_full):
+        raise ValueError("r, t1 and t_full must have equal length")
+    if any(ri < 1 for ri in r) or any(a >= b for a, b in zip(r, r[1:])):
+        raise ValueError("parts must be positive and strictly increasing")
+    if any(not 0 <= a <= b for a, b in zip(t1, t_full)):
+        raise ValueError("split multiplicities must lie in [0, t_full]")
+    s = sum(t1)
+    W = sum(ri * ti for ri, ti in zip(r, t1))
+    if W > ell:
+        raise ValueError("sum(t1*r) must not exceed ell")
     den = 1
-    for ti in w.t1:
+    for ti in t1:
         den *= math.factorial(ti)
-    val = Fraction(
-        w.ell * math.factorial(w.ell - 1 - W + s),
-        den * math.factorial(w.ell - W),
-    )
+    val = Fraction(ell * math.factorial(ell - 1 - W + s), den * math.factorial(ell - W))
     return val if s % 2 else -val
 
 
@@ -223,7 +187,7 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
         raise ValueError("ell must be prime")
     if len(r) != len(t) or any(ti < 1 for ti in t):
         raise ValueError("t must give positive multiplicity for each part")
-    lhs = d_weight(DWeight(ell, r, t), t)
+    lhs = d_weight(ell, r, t, t)
     rhs = Fraction(0)
     splits = [()]
     for ti in t:
@@ -234,7 +198,7 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
         n = ell - sum(ri * ai for ri, ai in zip(r, t1))
         t2 = tuple(ti - ai for ti, ai in zip(t, t1))
         parts = t2 + (n - sum(t2),)
-        rhs -= d_weight(DWeight(ell, r, t1), t) * full_multinomial(n, parts)
+        rhs -= d_weight(ell, r, t1, t) * full_multinomial(n, parts)
     return lhs == rhs
 
 
@@ -310,13 +274,11 @@ def solve_full_polynomial(ell: int, j: JTable) -> ModularPolynomial:
                         % (residual.coefficient(gap), gap)
                     )
             basis = _pair_basis(S, T, m, n)
-            pivot = basis.coefficient(e)
-            value = Fraction(-residual.coefficient(e), pivot)
-            if value.denominator != 1:
+            if basis.coefficient(e) != 1:
                 raise InconsistentSystemError(
-                    "coefficient at pair (%d, %d) is not an integer: %s" % (m, n, value)
+                    "pivot at pair (%d, %d) is %d, not 1" % (m, n, basis.coefficient(e))
                 )
-            a = int(value)
+            a = -residual.coefficient(e)
             entries[(m, n)] = a
             if a:
                 residual = residual + basis * a

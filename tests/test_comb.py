@@ -1,7 +1,6 @@
 """Combinatorial kernels, each validated against an independent oracle."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +10,6 @@ from modpoly import (
     binomial,
     full_multinomial,
     is_prime,
-    multinomial_top,
     partitions,
     primes_upto,
     stirling_first,
@@ -119,17 +117,6 @@ def test_binomial_negative_rejected():
         binomial(-1, 2)
     with pytest.raises(ValueError):
         binomial(3, -1)
-
-
-def test_multinomial_top_values():
-    assert multinomial_top(0, (1,)) == 1
-    assert multinomial_top(2, (1, 2)) == 1
-    assert multinomial_top(3, (2, 2)) == Fraction(3, 2)
-
-
-def test_multinomial_top_validates_u():
-    with pytest.raises(ValueError):
-        multinomial_top(2, (1, 1))
 
 
 def test_full_multinomial_factorial_ratio():

@@ -13,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 from modpoly import (
     CoeffRequest,
     ModularPolynomial,
-    RunConfig,
     SutherlandParseError,
-    UsageError,
     check_row,
     cli_main,
     emit_polynomial_json,
@@ -166,22 +164,6 @@ def small_polynomials():
 def test_round_trips_on_random_tables(poly):
     assert parse_sutherland(emit_sutherland_text(poly)).to_polynomial() == poly
     assert read_polynomial_json(emit_polynomial_json(poly)) == poly
-
-
-# --- RunConfig ------------------------------------------------------------------
-
-
-def test_run_config_validation():
-    cfg = RunConfig(ell=7)
-    assert cfg.check_set
-    with pytest.raises(UsageError):
-        RunConfig(ell=6)
-    with pytest.raises(UsageError):
-        RunConfig(ell=5, m_max=9)
-    with pytest.raises(UsageError):
-        RunConfig(ell=5, check_set=("prop22", "bogus"))
-    with pytest.raises(UsageError):
-        RunConfig(ell=5, check_set=())
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -424,6 +406,10 @@ def test_cli_usage_errors(capsys):
         ("jcoeff", "--count", "0"),                # nonpositive count
         ("check", "--ell", "5", "--set", "bogus"),
         ("check", "--ell", "5", "--set", ","),    # empty check set
+        ("poly", "--ell", "6"),                    # composite level
+        ("check", "--ell", "6"),
+        ("crosscheck", "--ell", "5", "--format", "json"),  # crosscheck has no output options
+        ("crosscheck", "--ell", "5", "--out", "cc.txt"),
         ("nonsense",),                             # unknown command
     ]
     for argv in cases:
@@ -432,6 +418,30 @@ def test_cli_usage_errors(capsys):
         assert err.startswith("error:"), argv
     code, _, err = run_cli(capsys, "coeff", "--ell", "5", "--m", "9")
     assert code == 1 and err.startswith("error: --m must lie in [0, 5]")
+
+
+def test_run_config_validation(capsys):
+    # The run settings are checked once, in the CLI: a prime level with the
+    # default check set runs; each bad setting is refused with its own message.
+    code, out, err = run_cli(capsys, "check", "--ell", "7")
+    assert code == 0 and err == ""
+    assert out.endswith("result: OK\n") and "prop22: 7 checked" in out
+    cases = [
+        (("poly", "--ell", "6"), "error: poly needs --ell a prime >= 2, got 6\n"),
+        (("check", "--ell", "6"), "error: check needs --ell a prime >= 2, got 6\n"),
+        (("row", "--ell", "5", "--m-max", "9"), "error: --m-max must lie in [0, 5], got 9\n"),
+        (
+            ("check", "--ell", "5", "--set", "prop22,bogus"),
+            "error: unknown checks: bogus (choose from prop22,prop23,conj25,conj12)\n",
+        ),
+        (
+            ("check", "--ell", "5", "--set", ","),
+            "error: --set names no checks (choose from prop22,prop23,conj25,conj12)\n",
+        ),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", message), argv
 
 
 def test_cli_computation_errors(capsys, tmp_path):
@@ -448,7 +458,7 @@ def test_cli_computation_errors(capsys, tmp_path):
 def test_python_m_modpoly_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-m", "modpoly", "coeff", "--ell", "5", "--m", "1"],
+        [sys.executable, "-W", "error", "-m", "modpoly", "coeff", "--ell", "5", "--m", "1"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "3720\n", "")
@@ -460,3 +470,10 @@ def test_cli_entry_point_raises_system_exit():
     with pytest.raises(SystemExit) as info:
         main()
     assert info.value.code == 1
+
+
+def test_every_public_name_resolves():
+    import modpoly
+
+    missing = [name for name in modpoly.__all__ if not hasattr(modpoly, name)]
+    assert missing == []
