@@ -13,8 +13,12 @@ Arithmetic tracks precision pessimistically:
 * mul: result precision is min(a.precision + b.base_exponent,
   b.precision + a.base_exponent), the first exponent at which an unknown
   coefficient of either factor could contribute;
+* pow: series ** n has base n * base_exponent and keeps the input's
+  relative precision, precision - base_exponent, as n - 1 products would;
 * invert: requires a unit leading coefficient (+1 or -1) so the inverse
   stays integral.
+
+``**`` and ``invert`` share one kernel, Miller's power recurrence.
 
 Values are immutable.  Instances with equal base, coefficient block and
 precision compare equal, and normalization trims leading zeros (raising
@@ -22,6 +26,9 @@ the base) so equal series have a unique representation.
 """
 
 from __future__ import annotations
+
+import itertools
+from operator import mul
 
 
 class PrecisionError(ValueError):
@@ -167,18 +174,9 @@ class IntSeries:
             return NotImplemented
         if n < 0:
             raise ValueError("exponent must be nonnegative")
-        if n == 0:
-            # empty product: 1 at this series' precision shifted to base 0
-            return IntSeries(0, (1,), self.precision - self.base_exponent)
-        result = None
-        square = self
-        while True:
-            if n & 1:
-                result = square if result is None else result * square
-            n >>= 1
-            if not n:
-                return result
-            square = square * square
+        # n = 0 gives 1 at this series' precision shifted to base 0
+        b, rel = self.base_exponent, self.precision - self.base_exponent
+        return IntSeries(n * b, self._power_coeffs(n, rel), n * b + rel)
 
     def shift(self, k: int) -> "IntSeries":
         """Exact multiplication by the monomial q^k."""
@@ -216,13 +214,24 @@ class IntSeries:
             )
         if count <= 0:
             return IntSeries.zero(out_precision)
-        a = self.coeffs
-        inv = [unit] + [0] * (count - 1)
-        for e in range(1, count):
-            acc = 0
-            for i in range(1, e + 1):
-                ai = a[i]
-                if ai:
-                    acc += ai * inv[e - i]
-            inv[e] = -unit * acc
-        return IntSeries(-b, inv, out_precision)
+        return IntSeries(-b, self._power_coeffs(-1, count), out_precision)
+
+    def _power_coeffs(self, alpha: int, count: int) -> list:
+        """First count coefficients of f^alpha, for f = self / q^base_exponent.
+
+        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+        i f_0 g_i = sum_{s=1..i} ((alpha+1) s - i) f_s g_{i-s}, for
+        alpha >= -1, and alpha = -1 needs a unit f_0.  Every division is
+        checked with divmod; a remainder raises ArithmeticError.
+        """
+        f = self.coeffs
+        g = [f[0] ** abs(alpha)] if count > 0 else []
+        step = alpha + 1
+        for i in range(1, count):
+            weights = itertools.count(step - i, step)  # (alpha+1) s - i, s = 1..i
+            acc = sum(map(mul, map(mul, weights, f[1 : i + 1]), reversed(g)))
+            quotient, remainder = divmod(acc, i * f[0])
+            if remainder:
+                raise ArithmeticError("coefficient %d of a series power is not an integer" % i)
+            g.append(quotient)
+        return g

@@ -98,10 +98,9 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     """[a_{ell,ell-m} for m = 0..m_max] via the power-series recurrence.
 
     The recurrence reads jhat^k only at exponents <= k - ell + m_max, a
-    triangle: jhat^ell is formed once, and each lower power is the one
-    above times 1/jhat, cut to the precision that is read.  Powers below
-    precision 2 are never read and never built.  Rows are memoized per
-    (ell, j-prefix).
+    triangle: each power is raised straight from jhat cut to the precision
+    that is read, so powers below precision 2 are never built.  Rows are
+    memoized per (ell, j-prefix).
     """
     if m_max is None:
         m_max = ell
@@ -112,13 +111,10 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     if cached is not None and len(cached) > m_max:
         return list(cached[: m_max + 1])
 
-    prec = m_max + 1
-    hat = j.hat_series(prec)
-    inv = hat.invert(prec)
-    powers = {ell: hat ** ell}
-    for k in range(ell, ell - m_max + 1, -1):
-        p = k - ell + m_max  # jhat^(k-1) is read below q^p
-        powers[k - 1] = powers[k].truncate(p) * inv.truncate(p)
+    hat = j.hat_series(m_max + 1)
+    powers = {
+        k: hat.truncate(k - ell + m_max + 1) ** k for k in range(ell - m_max + 1, ell + 1)
+    }
 
     row = [-1]
     for m in range(1, m_max + 1):
@@ -252,27 +248,22 @@ def solve_full_polynomial(ell: int, j: JTable) -> ModularPolynomial:
     triangular linear system: the basis element for the pair (m, n) has
     pole order ell*m + n, those orders are pairwise distinct over
     0 <= n <= m <= ell, and each pivot coefficient is 1.  Unknowns are
-    eliminated in decreasing pole order; exponents that correspond to no
-    pair must already have residual zero, and after the last unknown the
-    whole remaining expansion must vanish up to the working precision.
-    Raises InconsistentSystemError otherwise, and PrecisionError when the
-    table is shorter than ell^2 + ell + 2 coefficients.
+    eliminated in decreasing pole order.  Each basis starts at its own
+    pivot, so no later step touches a lower exponent, and one check after
+    the last unknown covers every exponent: the whole remaining expansion,
+    including exponents that correspond to no pair, must vanish up to the
+    working precision.  Raises InconsistentSystemError otherwise, naming
+    the lowest surviving exponent, and PrecisionError when the table is
+    shorter than ell^2 + ell + 2 coefficients.
     """
     if not is_prime(ell):
         raise ValueError("ell must be prime, got %r" % (ell,))
     S, T = _power_tables(ell, j)
     residual = S[ell + 1] + T[ell + 1]
     entries = {}
-    prev_exponent = -(ell * ell + ell) - 1
     for m in range(ell, -1, -1):
         for n in range(m, -1, -1):
             e = -(ell * m + n)
-            for gap in range(prev_exponent + 1, e):
-                if residual.coefficient(gap) != 0:
-                    raise InconsistentSystemError(
-                        "nonzero residual %d at q^%d matches no coefficient"
-                        % (residual.coefficient(gap), gap)
-                    )
             basis = _pair_basis(S, T, m, n)
             if basis.coefficient(e) != 1:
                 raise InconsistentSystemError(
@@ -282,13 +273,11 @@ def solve_full_polynomial(ell: int, j: JTable) -> ModularPolynomial:
             entries[(m, n)] = a
             if a:
                 residual = residual + basis * a
-            prev_exponent = e
-    for e in range(1, residual.precision):
-        if residual.coefficient(e) != 0:
-            raise InconsistentSystemError(
-                "residual %d survives at q^%d after eliminating all pairs"
-                % (residual.coefficient(e), e)
-            )
+    if not residual.is_zero():
+        raise InconsistentSystemError(
+            "residual %d survives at q^%d after eliminating all pairs"
+            % (residual.coeffs[0], residual.base_exponent)
+        )
     return ModularPolynomial(ell, entries)
 
 

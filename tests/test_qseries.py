@@ -147,12 +147,17 @@ class TestPow:
         one = s ** 0
         assert one.coefficient(0) == 1
         assert one.precision == 4  # window shifts with the lost base
+        for n, prec in ((0, 0), (1, 5), (3, 15)):
+            power = IntSeries.zero(5) ** n
+            assert power.is_zero() and power.precision == prec
+        laurent = IntSeries(-2, [3, -1, 4], precision=1) ** 2
+        assert laurent == IntSeries(-4, [9, -6, 25], precision=-1)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             IntSeries(0, [1]) ** -1
 
-    @given(series_strategy(), st.integers(1, 5))
+    @given(series_strategy(), st.integers(1, 12))
     def test_pow_equals_mul_fold(self, s, n):
         folded = functools.reduce(lambda x, y: x * y, [s] * n)
         assert s ** n == folded

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from modpoly import (
     InconsistentSystemError,
+    IntSeries,
     JTable,
     ModularPolynomial,
     PartitionTerm,
@@ -112,6 +113,22 @@ def test_recurrence_row_prefix():
 
 def test_recurrence_row_deterministic():
     assert recurrence_row(11, J) == recurrence_row(11, J)
+
+
+def test_recurrence_row_memo_builds_no_powers(monkeypatch):
+    # a repeat request, or a shorter one, is served from the memo: with
+    # series powers made to fail, only a memo miss would raise
+    recurrence._ROW_CACHE.clear()
+    row = recurrence_row(13, J)
+
+    def no_powers(self, n):
+        raise AssertionError("memo miss: recurrence_row raised a power")
+
+    monkeypatch.setattr(IntSeries, "__pow__", no_powers)
+    assert recurrence_row(13, J) == row
+    assert recurrence_row(13, J, m_max=5) == row[:6]
+    with pytest.raises(AssertionError, match="memo miss"):
+        recurrence_row(17, J)  # another level is a miss
 
 
 def test_recurrence_requires_enough_coefficients():
