@@ -59,8 +59,8 @@ class CoeffRequest:
     m: int
 
     def __post_init__(self):
-        if self.ell < 3 or not is_prime(self.ell):
-            raise ValueError("ell must be a prime >= 3, got %r" % (self.ell,))
+        if not is_prime(self.ell):
+            raise ValueError("ell must be prime, got %r" % (self.ell,))
         if not 0 <= self.m <= self.ell:
             raise ValueError("m must lie in [0, ell], got m=%r for ell=%d" % (self.m, self.ell))
 
@@ -153,7 +153,7 @@ def coeff_small_m(req: CoeffRequest, j: JTable) -> int:
 
     These are the partition sums written out monomial by monomial, kept as
     an independently typed-up form: they share no code with coeff_closed,
-    which makes them a useful cross-check and a fast path for small m.
+    and the tests read them as one more oracle for the first few m.
     """
     ell, m = req.ell, req.m
     if m < 1 or m > 7:

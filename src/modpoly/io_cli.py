@@ -226,16 +226,16 @@ def _cmd_jcoeff(args) -> int:
     return 0
 
 
-def _check_level(args, least: int, m: int | None = None, flag: str = "") -> None:
-    """Raise UsageError unless --ell is a prime >= least and m lies in [0, ell]."""
-    if args.ell < least or not is_prime(args.ell):
-        raise UsageError("%s needs --ell a prime >= %d, got %d" % (args.command, least, args.ell))
+def _check_level(args, m: int | None = None, flag: str = "") -> None:
+    """Raise UsageError unless --ell is a prime and m lies in [0, ell]."""
+    if not is_prime(args.ell):
+        raise UsageError("%s needs --ell a prime >= 2, got %d" % (args.command, args.ell))
     if m is not None and not 0 <= m <= args.ell:
         raise UsageError("%s must lie in [0, %d], got %d" % (flag, args.ell, m))
 
 
 def _cmd_coeff(args) -> int:
-    _check_level(args, 3, args.m, "--m")
+    _check_level(args, args.m, "--m")
     value = closed_row(args.ell, j_coefficients(max(args.m, 1)), args.m)[args.m]
     if args.format == "json":
         doc = {"ell": args.ell, "m": args.m, "value": str(value)}
@@ -246,7 +246,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_row(args) -> int:
-    _check_level(args, 3, args.m_max, "--m-max")
+    _check_level(args, args.m_max, "--m-max")
     m_max = args.m_max if args.m_max is not None else args.ell
     row = closed_row(args.ell, j_coefficients(max(m_max, 1)), m_max)
     if args.format == "json":
@@ -261,7 +261,7 @@ def _cmd_row(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    _check_level(args, 2)
+    _check_level(args)
     poly = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
     if args.format == "text":
         _deliver(emit_sutherland_text(poly), args)
@@ -297,7 +297,7 @@ def _report_text(report: CongruenceReport) -> str:
 
 def _cmd_check(args) -> int:
     check_set = tuple(s.strip() for s in args.set.split(",") if s.strip())
-    _check_level(args, 2)
+    _check_level(args)
     if not check_set:
         raise UsageError("--set names no checks (choose from %s)" % ",".join(ALL_CHECKS))
     bad = [c for c in check_set if c not in ALL_CHECKS]
@@ -314,8 +314,7 @@ def _cmd_check(args) -> int:
                 "file is for level %d but --ell %d was requested" % (parsed.ell, args.ell)
             )
         poly = parsed.to_polynomial()
-    elif "conj12" in check_set or (row_checks and args.ell == 2):
-        # conj12 reads the whole table, and no top-row formula covers ell = 2
+    elif "conj12" in check_set:
         if args.ell > SOLVER_FEASIBLE_MAX:
             raise ValueError(
                 "full-table checks for ell=%d need --file; the reference solver "
@@ -325,13 +324,14 @@ def _cmd_check(args) -> int:
 
     report = CongruenceReport(args.ell)
     if row_checks:
-        if args.file or args.ell == 2:
-            row = poly.top_row()[1:]
-        else:
-            row = closed_row(args.ell, j_coefficients(args.ell))[1:]
-        report = report.merge(check_row(args.ell, row, row_checks))
+        row = poly.top_row() if args.file else closed_row(args.ell, j_coefficients(args.ell))
+        report = report.merge(check_row(args.ell, row[1:], row_checks))
     if "conj12" in check_set:
         report = report.merge(check_conjecture_div(poly))
+    if not report.records:
+        raise UsageError(
+            "no coefficient at ell=%d falls under %s" % (args.ell, ",".join(check_set))
+        )
 
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
     if args.out:
@@ -350,7 +350,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    _check_level(args, 3, args.m_max, "--m-max")
+    _check_level(args, args.m_max, "--m-max")
     m_max = args.m_max if args.m_max is not None else args.ell
     j = j_coefficients(max(m_max, 1))
     sources = {

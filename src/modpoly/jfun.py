@@ -120,9 +120,7 @@ class JTable:
         """q * j = sum_{i>=0} c_{i-1} q^i, the constant-1-leading variant."""
         if precision < 1:
             raise ValueError("precision must be at least 1")
-        if precision > self.count + 1:
-            raise ValueError("table holds %d coefficients, need %d for precision %d"
-                             % (self.count, precision - 1, precision))
+        self.require(precision - 1)
         return IntSeries(0, self.values[:precision], precision)
 
 

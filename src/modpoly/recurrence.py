@@ -6,13 +6,13 @@ to validate its inputs, no arithmetic), which is what makes them usable
 as cross-checks:
 
 1. a power-series recurrence: letting jhat = q*j = 1 + 744 q + ..., the
-   top-row coefficients satisfy, for 0 < m < ell,
+   top-row coefficients satisfy, for 0 < m <= ell,
 
        a_{ell,ell-m} = - sum_{n=0}^{m-1} a_{ell,ell-n} * [q^{m-n}] jhat^{ell-n}
+                       - [m = ell] (ell+1) c_0
 
-   with a_{ell,ell} = -1 starting the recursion, and for m = ell
-
-       a_{ell,0} = -(ell+1) c_0 - sum_{n=0}^{ell-1} a_{ell,ell-n} * [q^{ell-n}] jhat^{ell-n};
+   with a_{ell,ell} = -1 starting the recursion, and [m = ell] is 1 at
+   m = ell and 0 below it;
 
 2. rational d-weights attached to sub-multiplicity splits of a partition,
    together with a sum rule they must satisfy (verify_d_recurrence);
@@ -111,23 +111,14 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     if cached is not None and len(cached) > m_max:
         return list(cached[: m_max + 1])
 
-    hat = j.hat_series(m_max + 1)
     powers = {
-        k: hat.truncate(k - ell + m_max + 1) ** k for k in range(ell - m_max + 1, ell + 1)
+        k: j.hat_series(k - ell + m_max + 1) ** k for k in range(ell - m_max + 1, ell + 1)
     }
-
     row = [-1]
     for m in range(1, m_max + 1):
-        if m < ell:
-            acc = 0
-            for n in range(m):
-                acc += row[n] * powers[ell - n].coefficient(m - n)
-            row.append(-acc)
-        else:
-            acc = 0
-            for n in range(ell):
-                acc += row[n] * powers[ell - n].coefficient(ell - n)
-            row.append(-(ell + 1) * j[0] - acc)
+        row.append(-sum(row[n] * powers[ell - n].coefficient(m - n) for n in range(m)))
+    if m_max == ell:
+        row[ell] -= (ell + 1) * j[0]
     _ROW_CACHE[key] = list(row)
     return row
 

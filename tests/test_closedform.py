@@ -1,7 +1,7 @@
 """Closed partition-sum coefficients, checked against published level-5 values."""
 
 import pytest
-from conftest import PHI5_FACTORED
+from conftest import PHI2_KNOWN, PHI5_FACTORED
 from hypothesis import given, settings, strategies as st
 
 from modpoly import (
@@ -16,6 +16,7 @@ from modpoly import (
     partitions,
     primes_upto,
     recurrence_row,
+    solve_full_polynomial,
     term_weight,
 )
 from modpoly import closedform
@@ -31,9 +32,10 @@ def test_request_accepts_valid():
     assert (req.ell, req.m) == (5, 3)
     CoeffRequest(3, 3)
     CoeffRequest(97, 0)
+    CoeffRequest(2, 2)
 
 
-@pytest.mark.parametrize("ell", [2, 4, 9, 1, 0, -5])
+@pytest.mark.parametrize("ell", [4, 9, 1, 0, -5])
 def test_request_rejects_bad_level(ell):
     with pytest.raises(ValueError):
         CoeffRequest(ell, 1)
@@ -145,7 +147,7 @@ def test_closed_row_matches_term_by_term_sum(ell):
 
 def test_closed_row_matches_recurrence_on_full_rows():
     j = j_coefficients(199)
-    for ell in primes_upto(97)[1:] + [199]:
+    for ell in primes_upto(97) + [199]:
         assert closed_row(ell, j) == recurrence_row(ell, j), ell
 
 
@@ -155,6 +157,17 @@ def test_closed_row_checks_exact_division(monkeypatch):
     monkeypatch.setattr(closedform, "binomial", lambda n, k: 1)
     with pytest.raises(IntegralityError, match="m=5, k=5"):
         closed_row(7, J, m_max=5)
+
+
+def test_level_two_top_row_from_every_route():
+    # the top-row formulas hold for every prime level, 2 included
+    want = [PHI2_KNOWN[(2, 2 - m)] for m in range(3)]
+    assert want == [-1, 1488, -162000]
+    assert closed_row(2, J) == want
+    assert recurrence_row(2, J) == want
+    assert [coeff_closed(CoeffRequest(2, m), J) for m in range(3)] == want
+    assert coeff_small_m(CoeffRequest(2, 1), J) == want[1]
+    assert solve_full_polynomial(2, j_coefficients(8)).top_row() == want
 
 
 # --- coeff_small_m -------------------------------------------------------

@@ -275,7 +275,7 @@ def test_cli_check_conj12_via_solver(capsys):
     assert "conj12" in out
 
 
-def test_cli_check_level_two_solves_once(capsys, monkeypatch):
+def _count_solves(monkeypatch):
     calls = []
 
     def counted(ell, j):
@@ -283,6 +283,22 @@ def test_cli_check_level_two_solves_once(capsys, monkeypatch):
         return solve_full_polynomial(ell, j)
 
     monkeypatch.setattr(io_cli, "solve_full_polynomial", counted)
+    return calls
+
+
+def test_cli_check_level_two_row_needs_no_solve(capsys, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    code, out, _ = run_cli(capsys, "check", "--ell", "2", "--set", "prop23")
+    assert (code, calls) == (0, [])
+    assert out == (
+        "prop23: 2 checked, 0 failed\n"
+        "note: unclaimed_mod3_indivisible_by_3: 0 of 0\n"
+        "result: OK\n"
+    )
+
+
+def test_cli_check_level_two_solves_once(capsys, monkeypatch):
+    calls = _count_solves(monkeypatch)
     code, out, _ = run_cli(capsys, "check", "--ell", "2", "--set", "prop23,conj12")
     assert (code, calls) == (0, [2])
     assert out == (
@@ -291,6 +307,24 @@ def test_cli_check_level_two_solves_once(capsys, monkeypatch):
         "note: unclaimed_mod3_indivisible_by_3: 0 of 0\n"
         "result: OK\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--ell", "2", "--set", "prop22"),
+        ("--ell", "5", "--set", "conj25"),
+        ("--ell", "3", "--format", "json", "--set", "conj25"),
+        ("--ell", "2", "--set", "prop22,conj25"),
+    ],
+)
+def test_cli_check_vacuous_set_is_refused(capsys, tmp_path, argv):
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "check", *argv, "--out", str(target))
+    ell, names = argv[1], argv[-1]
+    assert (code, out) == (1, "")
+    assert err == "error: no coefficient at ell=%s falls under %s\n" % (ell, names)
+    assert not target.exists()
 
 
 def test_cli_check_conj12_infeasible_without_file(capsys):
@@ -366,6 +400,16 @@ def test_cli_crosscheck(capsys):
     assert "closed,recurrence,solver" in out
 
 
+def test_cli_row_and_coeff_level_two(capsys):
+    assert run_cli(capsys, "row", "--ell", "2") == (0, "0 -1\n1 1488\n2 -162000\n", "")
+    assert run_cli(capsys, "coeff", "--ell", "2", "--m", "1") == (0, "1488\n", "")
+
+
+def test_cli_crosscheck_level_two(capsys):
+    code, out, _ = run_cli(capsys, "crosscheck", "--ell", "2")
+    assert (code, out) == (0, "crosscheck: OK (ell=2, m <= 2, methods: closed,recurrence,solver)\n")
+
+
 def test_cli_crosscheck_beyond_solver_range(capsys):
     code, out, _ = run_cli(capsys, "crosscheck", "--ell", "17", "--m-max", "5")
     assert code == 0
@@ -400,9 +444,6 @@ def test_cli_usage_errors(capsys):
         ("coeff", "--ell", "5", "--m", "1", "--method", "small"),  # option removed
         ("row", "--ell", "5", "--method", "recurrence"),           # option removed
         ("poly", "--ell", "5", "--precision", "20"),               # option removed
-        ("coeff", "--ell", "2", "--m", "1"),       # no top-row formula at ell = 2
-        ("row", "--ell", "2"),
-        ("crosscheck", "--ell", "2"),
         ("jcoeff", "--count", "0"),                # nonpositive count
         ("check", "--ell", "5", "--set", "bogus"),
         ("check", "--ell", "5", "--set", ","),    # empty check set

@@ -136,8 +136,10 @@ def test_hat_series_shifts_expansion():
     assert hat.coefficient(1) == 744
     assert hat.coefficient(2) == JCOEFFS[1]
     assert hat.coefficient(3) == JCOEFFS[2]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need j coefficients c_0..c_6 but table stops at c_5"):
         table.hat_series(8)
+    with pytest.raises(ValueError, match="precision must be at least 1"):
+        table.hat_series(0)
 
 
 def test_series_base_exponent():
