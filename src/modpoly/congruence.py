@@ -93,15 +93,29 @@ class CheckRecord:
     prime: int
     required: int
     observed: Valuation
-    passed: bool
-    severity: str         # FATAL for proved statements, COUNTEREXAMPLE otherwise
+
+    @property
+    def passed(self) -> bool:
+        return self.observed.at_least(self.required)
+
+    @property
+    def severity(self) -> str:
+        """FATAL for proved statements, COUNTEREXAMPLE otherwise."""
+        return "FATAL" if self.check in _FATAL_CHECKS else "COUNTEREXAMPLE"
+
+
+# Row checks whose table leaves a residue class unclaimed (required
+# valuation 0): report.stats tallies how often p fails to divide there.
+_UNCLAIMED_STATS = {
+    "prop22": "unclaimed_mod8_indivisible_by_2",
+    "prop23": "unclaimed_mod3_indivisible_by_3",
+}
 
 
 @dataclass
 class CongruenceReport:
     ell: int
     records: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
 
     @property
     def summary(self) -> dict:
@@ -114,6 +128,19 @@ class CongruenceReport:
                 out[rec.check] = (passed, failed + 1)
         return out
 
+    @property
+    def stats(self) -> dict:
+        """(indivisible, total) over the unclaimed classes of each row check run."""
+        out = {}
+        for rec in self.records:
+            key = _UNCLAIMED_STATS.get(rec.check)
+            if key is not None:
+                hit, total = out.get(key, (0, 0))
+                if rec.required == 0:
+                    hit, total = hit + (rec.observed.value == 0), total + 1
+                out[key] = (hit, total)
+        return out
+
     def failures(self, severity: str | None = None) -> list:
         return [
             r for r in self.records
@@ -123,11 +150,7 @@ class CongruenceReport:
     def merge(self, other: "CongruenceReport") -> "CongruenceReport":
         if other.ell != self.ell:
             raise ValueError("cannot merge reports for different levels")
-        stats = dict(self.stats)
-        for k, v in other.stats.items():
-            a, b = stats.get(k, (0, 0))
-            stats[k] = (a + v[0], b + v[1])
-        return CongruenceReport(self.ell, self.records + other.records, stats)
+        return CongruenceReport(self.ell, self.records + other.records)
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,58 +174,29 @@ class CongruenceReport:
         }
 
 
-def _record(check, index, prime, required, observed):
-    return CheckRecord(
-        check=check,
-        index=index,
-        prime=prime,
-        required=required,
-        observed=observed,
-        passed=observed.at_least(required),
-        severity="FATAL" if check in _FATAL_CHECKS else "COUNTEREXAMPLE",
-    )
-
-
 def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
     """Check a_{ell,ell-m} for m = 1..ell against the row divisibility tables.
 
     ``row`` lists the coefficients starting at m=1, so it has length ell.
     The two-adic table applies to odd levels only and is skipped for
     ell = 2.  Residue classes carrying no divisibility claim (m = 0 mod 8
-    for ord_2, m = 0 mod 3 for ord_3) are tallied in report.stats instead
-    of being asserted.
+    for ord_2, m = 0 mod 3 for ord_3) get records with required valuation
+    0, which always pass; report.stats tallies them.
     """
     if not is_prime(ell):
         raise ValueError("ell must be prime, got %r" % (ell,))
     row = list(row)
     if len(row) != ell:
         raise ValueError("row must list a_{ell,ell-m} for m=1..ell, got %d values" % len(row))
-    report = CongruenceReport(ell)
-    two_untouched = [0, 0]
-    three_untouched = [0, 0]
-    for m in range(1, ell + 1):
-        a = row[m - 1]
+    records = []
+    for m, a in enumerate(row, start=1):
         if "prop22" in checks and ell % 2 == 1:
-            v2 = ord_p(a, 2)
-            report.records.append(_record("prop22", (m,), 2, required_two_valuation(m), v2))
-            if m % 8 == 0:
-                two_untouched[1] += 1
-                if not v2.at_least(1):
-                    two_untouched[0] += 1
+            records.append(CheckRecord("prop22", (m,), 2, required_two_valuation(m), ord_p(a, 2)))
         if "prop23" in checks:
-            v3 = ord_p(a, 3)
-            report.records.append(_record("prop23", (m,), 3, required_three_valuation(m), v3))
-            if m % 3 == 0:
-                three_untouched[1] += 1
-                if not v3.at_least(1):
-                    three_untouched[0] += 1
+            records.append(CheckRecord("prop23", (m,), 3, required_three_valuation(m), ord_p(a, 3)))
         if "conj25" in checks and m < ell and five_predicted(ell, m):
-            report.records.append(_record("conj25", (m,), 5, 1, ord_p(a, 5)))
-    if "prop22" in checks and ell % 2 == 1:
-        report.stats["unclaimed_mod8_indivisible_by_2"] = tuple(two_untouched)
-    if "prop23" in checks:
-        report.stats["unclaimed_mod3_indivisible_by_3"] = tuple(three_untouched)
-    return report
+            records.append(CheckRecord("conj25", (m,), 5, 1, ord_p(a, 5)))
+    return CongruenceReport(ell, records)
 
 
 def check_conjecture_div(poly: ModularPolynomial) -> CongruenceReport:
@@ -219,10 +213,10 @@ def check_conjecture_div(poly: ModularPolynomial) -> CongruenceReport:
         if c <= 0:
             continue
         if ell != 2:
-            report.records.append(_record("conj12", (m, n), 2, 15 * c, ord_p(a, 2)))
+            report.records.append(CheckRecord("conj12", (m, n), 2, 15 * c, ord_p(a, 2)))
         if ell != 3:
             need3 = (9 * c + 1) // 2 if ell % 3 == 1 else 3 * c
-            report.records.append(_record("conj12", (m, n), 3, need3, ord_p(a, 3)))
+            report.records.append(CheckRecord("conj12", (m, n), 3, need3, ord_p(a, 3)))
         if ell != 5:
-            report.records.append(_record("conj12", (m, n), 5, 3 * c, ord_p(a, 5)))
+            report.records.append(CheckRecord("conj12", (m, n), 5, 3 * c, ord_p(a, 5)))
     return report

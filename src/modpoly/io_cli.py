@@ -328,10 +328,14 @@ def _cmd_check(args) -> int:
         report = report.merge(check_row(args.ell, row[1:], row_checks))
     if "conj12" in check_set:
         report = report.merge(check_conjecture_div(poly))
-    if not report.records:
+    summary = report.summary
+    if not summary:
         raise UsageError(
             "no coefficient at ell=%d falls under %s" % (args.ell, ",".join(check_set))
         )
+    for name in dict.fromkeys(check_set):
+        if name not in summary:
+            sys.stderr.write("note: %s covers no coefficient at ell=%d\n" % (name, args.ell))
 
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
     if args.out:

@@ -8,11 +8,10 @@ Everything is derived from three classical series:
 * the weight-4 Eisenstein series E4 = 1 + 240 * sum sigma_3(n) q^n.
 
 The j-invariant is the quotient E4^3 / Delta = 1/q + 744 + 196884 q + ...
-j_coefficients builds it without a series inverse: the coefficients a_n
-of prod (1 - q^n)^24 follow from the logarithmic derivative,
-n a_n = -24 sum_{k=1..n} sigma_1(k) a_{n-k}, with one divisor sieve shared
-with E4, and j * Delta = E4^3 is then solved for j term by term.  Its
-coefficients c_i (i >= -1) are what the closed coefficient formulas
+j_coefficients builds it without a series inverse: Delta comes from
+delta_series, the Euler product raised to the 24th power by the series
+power kernel, and j * Delta = E4^3 is then solved for j term by term.
+Its coefficients c_i (i >= -1) are what the closed coefficient formulas
 consume, packaged in a JTable indexed from -1.
 """
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .qseries import IntSeries
+from .qseries import IntSeries, PrecisionError
 
 
 def euler_factor_series(precision: int) -> IntSeries:
@@ -53,22 +52,15 @@ def delta_series(precision: int) -> IntSeries:
     return eta24.shift(1)
 
 
-def _divisor_sums(precision: int, power: int) -> list:
-    """[sigma_power(n) for n < precision], with 0 at n = 0."""
-    sums = [0] * precision
-    for d in range(1, precision):
-        dp = d ** power
-        for n in range(d, precision, d):
-            sums[n] += dp
-    return sums
-
-
 def e4_series(precision: int) -> IntSeries:
     """Eisenstein series of weight 4: constant term 1, then 240*sigma_3(n)."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    coeffs = [240 * s for s in _divisor_sums(precision, 3)]
-    coeffs[0] = 1
+    coeffs = [1] + [0] * (precision - 1)
+    for d in range(1, precision):
+        term = 240 * d ** 3
+        for n in range(d, precision, d):
+            coeffs[n] += term
     return IntSeries(0, coeffs, precision)
 
 
@@ -106,9 +98,13 @@ class JTable:
         return self.values[i + 1]
 
     def require(self, count: int) -> None:
-        """Raise ValueError unless c_0 .. c_{count-1} are all in the table."""
+        """Raise PrecisionError unless c_0 .. c_{count-1} are all in the table.
+
+        This is the one length check on a j table; PrecisionError is a
+        ValueError.
+        """
         if self.count < count:
-            raise ValueError(
+            raise PrecisionError(
                 "need j coefficients c_0..c_%d but table stops at c_%d" % (count - 1, self.count - 1)
             )
 
@@ -124,23 +120,6 @@ class JTable:
         return IntSeries(0, self.values[:precision], precision)
 
 
-def _eta24_coefficients(precision: int) -> list:
-    """a_0 .. a_{precision-1} of prod (1 - q^n)^24, each division checked.
-
-    Taking the logarithmic derivative gives
-    n a_n = -24 sum_{k=1..n} sigma_1(k) a_{n-k}.
-    """
-    sigma = _divisor_sums(precision, 1)
-    a = [1] + [0] * (precision - 1)
-    for n in range(1, precision):
-        acc = sum(map(mul, sigma[1 : n + 1], reversed(a[:n])))
-        quotient, remainder = divmod(-24 * acc, n)
-        if remainder:
-            raise ArithmeticError("coefficient %d of eta^24 is not an integer" % n)
-        a[n] = quotient
-    return a
-
-
 def j_coefficients(count: int) -> JTable:
     """Compute c_{-1} .. c_{count-1} exactly from j * Delta = E4^3.
 
@@ -150,7 +129,7 @@ def j_coefficients(count: int) -> JTable:
     if count < 1:
         raise ValueError("count must be at least 1")
     e4cubed = (e4_series(count + 1) ** 3).coeffs
-    a = _eta24_coefficients(count + 1)
+    a = delta_series(count + 2).coeffs
     values = []
     for i in range(count + 1):
         values.append(e4cubed[i] - sum(map(mul, a[1 : i + 1], reversed(values))))

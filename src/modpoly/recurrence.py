@@ -30,7 +30,7 @@ from fractions import Fraction
 from .closedform import CoeffRequest
 from .comb import full_multinomial, is_prime
 from .jfun import JTable
-from .qseries import IntSeries, PrecisionError
+from .qseries import IntSeries
 
 
 class InconsistentSystemError(ArithmeticError):
@@ -208,11 +208,7 @@ def _power_tables(ell: int, j: JTable):
     tail = j.count - ell^2 - ell + 1, the precision of S[ell]*T[ell]: every
     residual holds that pair (a_{ell,ell} = -1), so nothing past it is read.
     """
-    need = solver_precision(ell)
-    if j.count < need:
-        raise PrecisionError(
-            "level %d needs at least %d j coefficients, table has %d" % (ell, need, j.count)
-        )
+    j.require(solver_precision(ell))
     tail = j.count - ell * ell - ell + 1
     t1 = j.series()
     T = [IntSeries.one(j.count), t1]

@@ -252,7 +252,7 @@ def test_report_merge():
     b = check_row(5, PHI5_ROW, checks=("prop23",))
     merged = a.merge(b)
     assert len(merged.records) == len(a.records) + len(b.records)
-    assert set(merged.stats) == set(a.stats) | set(b.stats)
+    assert merged.stats == {**a.stats, **b.stats}
     with pytest.raises(ValueError):
         a.merge(check_row(7, [0] * 7))
 

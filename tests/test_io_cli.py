@@ -217,6 +217,19 @@ def test_cli_row_m_max_matches_recurrence(capsys):
     assert out == "".join("%d %d\n" % (m, v) for m, v in enumerate(expected))
 
 
+def test_cli_row_json(capsys):
+    code, out, _ = run_cli(capsys, "row", "--ell", "5", "--m-max", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "ell": 5,
+        "values": [
+            {"m": 0, "value": "-1"},
+            {"m": 1, "value": "3720"},
+            {"m": 2, "value": "-4550940"},
+        ],
+    }
+
+
 def test_cli_poly_json_matches_solver(capsys):
     code, out, _ = run_cli(capsys, "poly", "--ell", "2")
     assert code == 0
@@ -325,6 +338,17 @@ def test_cli_check_vacuous_set_is_refused(capsys, tmp_path, argv):
     assert (code, out) == (1, "")
     assert err == "error: no coefficient at ell=%s falls under %s\n" % (ell, names)
     assert not target.exists()
+
+
+def test_cli_check_partly_vacuous_set_notes_the_idle_check(capsys):
+    code, out, err = run_cli(capsys, "check", "--ell", "5", "--set", "conj25,prop22")
+    assert code == 0
+    assert out == (
+        "prop22: 5 checked, 0 failed\n"
+        "note: unclaimed_mod8_indivisible_by_2: 0 of 0\n"
+        "result: OK\n"
+    )
+    assert err == "note: conj25 covers no coefficient at ell=5\n"
 
 
 def test_cli_check_conj12_infeasible_without_file(capsys):

@@ -180,6 +180,12 @@ class TestInvert:
         with pytest.raises(ValueError):
             IntSeries(0, [2, 1], precision=5).invert(3)
 
+    def test_kernel_checks_every_division(self):
+        # invert refuses 2 + q before the kernel runs; called directly, the
+        # kernel's own divmod guard catches the first non-integral term
+        with pytest.raises(ArithmeticError, match="coefficient 2 .* is not an integer"):
+            IntSeries(0, [2, 1], precision=5)._power_coeffs(-1, 3)
+
     def test_zero_series_rejected(self):
         with pytest.raises(ValueError):
             IntSeries.zero(5).invert(3)
@@ -219,6 +225,13 @@ class TestRingAxioms:
     @given(series_strategy(), series_strategy(), series_strategy())
     def test_mul_distributes(self, a, b, c):
         assert agree_below(a * (b + c), a * b + a * c)
+
+    @given(series_strategy(), series_strategy())
+    def test_sub_adds_the_negation(self, a, b):
+        assert a - b == a + (-b)
+        assert (a - a).is_zero()
+        with pytest.raises(TypeError):
+            a - 3
 
 
 def test_shift_is_exact_monomial_multiplication():

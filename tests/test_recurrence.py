@@ -280,7 +280,7 @@ def test_residual_detects_corruption():
 def test_residual_refuses_short_tables():
     entries = dict(PHI5_FACTORED)
     entries[(0, 1)] += 1
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="need j coefficients c_0..c_31 but table stops at c_19"):
         polynomial_residual(ModularPolynomial(5, entries), j_coefficients(20))
     assert polynomial_residual(ModularPolynomial(5, entries), j_coefficients(32)).coeffs
 
