@@ -91,25 +91,20 @@ def full_multinomial(n: int, parts) -> int:
     return out
 
 
-_stirling1_rows = [[1]]
-_stirling2_rows = [[1]]
-
-
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind: prod_{i<n} (x - i) = sum_k s(n,k) x^k."""
     if n < 0 or k < 0:
         raise ValueError("arguments must be nonnegative")
     if k > n:
         raise ValueError("need k <= n, got k=%d > n=%d" % (k, n))
-    while len(_stirling1_rows) <= n:
-        prev = _stirling1_rows[-1]
-        i = len(_stirling1_rows) - 1
-        row = [0] * (i + 2)
-        for j, v in enumerate(prev):
-            row[j + 1] += v
-            row[j] -= i * v
-        _stirling1_rows.append(row)
-    return _stirling1_rows[n][k]
+    row = [1]
+    for i in range(n):
+        nxt = [0] * (i + 2)
+        for j, v in enumerate(row):
+            nxt[j + 1] += v
+            nxt[j] -= i * v
+        row = nxt
+    return row[k]
 
 
 def stirling_second(d: int, n: int) -> int:
@@ -118,15 +113,14 @@ def stirling_second(d: int, n: int) -> int:
         raise ValueError("arguments must be nonnegative")
     if n > d:
         return 0
-    while len(_stirling2_rows) <= d:
-        prev = _stirling2_rows[-1]
-        row = [0] * (len(_stirling2_rows) + 1)
-        for j, v in enumerate(prev):
-            if v:
-                row[j] += j * v
-                row[j + 1] += v
-        _stirling2_rows.append(row)
-    return _stirling2_rows[d][n]
+    row = [1]
+    for i in range(d):
+        nxt = [0] * (i + 2)
+        for j, v in enumerate(row):
+            nxt[j] += j * v
+            nxt[j + 1] += v
+        row = nxt
+    return row[n]
 
 
 def is_prime(n: int) -> bool:

@@ -147,11 +147,6 @@ class CongruenceReport:
             if not r.passed and (severity is None or r.severity == severity)
         ]
 
-    def merge(self, other: "CongruenceReport") -> "CongruenceReport":
-        if other.ell != self.ell:
-            raise ValueError("cannot merge reports for different levels")
-        return CongruenceReport(self.ell, self.records + other.records)
-
     def to_json_dict(self) -> dict:
         return {
             "ell": self.ell,

@@ -206,7 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _deliver(text: str, args) -> None:
+def _deliver(args, text: str, doc=None) -> None:
+    """Write ``doc`` as JSON under --format json and ``text`` otherwise, to --out
+    or stdout; with no ``doc``, ``text`` is already in the chosen format."""
+    if doc is not None and args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -217,12 +221,9 @@ def _deliver(text: str, args) -> None:
 def _cmd_jcoeff(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    table = j_coefficients(args.count)
-    if args.format == "json":
-        doc = {"first_index": -1, "values": [str(v) for v in table.values]}
-        _deliver(json.dumps(doc, indent=2) + "\n", args)
-    else:
-        _deliver("".join("%d\n" % v for v in table.values), args)
+    values = j_coefficients(args.count).values
+    doc = {"first_index": -1, "values": [str(v) for v in values]}
+    _deliver(args, "".join("%d\n" % v for v in values), doc)
     return 0
 
 
@@ -237,11 +238,7 @@ def _check_level(args, m: int | None = None, flag: str = "") -> None:
 def _cmd_coeff(args) -> int:
     _check_level(args, args.m, "--m")
     value = closed_row(args.ell, j_coefficients(max(args.m, 1)), args.m)[args.m]
-    if args.format == "json":
-        doc = {"ell": args.ell, "m": args.m, "value": str(value)}
-        _deliver(json.dumps(doc, indent=2) + "\n", args)
-    else:
-        _deliver("%d\n" % value, args)
+    _deliver(args, "%d\n" % value, {"ell": args.ell, "m": args.m, "value": str(value)})
     return 0
 
 
@@ -249,47 +246,36 @@ def _cmd_row(args) -> int:
     _check_level(args, args.m_max, "--m-max")
     m_max = args.m_max if args.m_max is not None else args.ell
     row = closed_row(args.ell, j_coefficients(max(m_max, 1)), m_max)
-    if args.format == "json":
-        doc = {
-            "ell": args.ell,
-            "values": [{"m": m, "value": str(v)} for m, v in enumerate(row)],
-        }
-        _deliver(json.dumps(doc, indent=2) + "\n", args)
-    else:
-        _deliver("".join("%d %d\n" % (m, v) for m, v in enumerate(row)), args)
+    doc = {"ell": args.ell, "values": [{"m": m, "value": str(v)} for m, v in enumerate(row)]}
+    _deliver(args, "".join("%d %d\n" % (m, v) for m, v in enumerate(row)), doc)
     return 0
 
 
 def _cmd_poly(args) -> int:
     _check_level(args)
     poly = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
-    if args.format == "text":
-        _deliver(emit_sutherland_text(poly), args)
-    else:
-        _deliver(emit_polynomial_json(poly), args)
+    text = emit_sutherland_text(poly) if args.format == "text" else emit_polynomial_json(poly)
+    _deliver(args, text)
     return 0
 
 
 def _report_text(report: CongruenceReport) -> str:
-    lines = []
-    for rec in report.records:
-        if not rec.passed:
-            where = ",".join(str(i) for i in rec.index)
-            lines.append(
-                "FAIL %s [%s]: ord_%d = %s, required %d (%s)"
-                % (rec.check, where, rec.prime, rec.observed, rec.required, rec.severity)
-            )
+    failures = report.failures()
+    lines = [
+        "FAIL %s [%s]: ord_%d = %s, required %d (%s)"
+        % (rec.check, ",".join(str(i) for i in rec.index), rec.prime, rec.observed,
+           rec.required, rec.severity)
+        for rec in failures
+    ]
     for name, (passed, failed) in sorted(report.summary.items()):
         lines.append("%s: %d checked, %d failed" % (name, passed + failed, failed))
     for key, (hit, total) in sorted(report.stats.items()):
         lines.append("note: %s: %d of %d" % (key, hit, total))
-    fatal = report.failures("FATAL")
+    fatal = sum(rec.severity == "FATAL" for rec in failures)
     if fatal:
-        lines.append("result: FATAL (%d proved statements failed)" % len(fatal))
-    elif report.failures():
-        lines.append(
-            "result: COUNTEREXAMPLE (%d conjectural statements failed)" % len(report.failures())
-        )
+        lines.append("result: FATAL (%d proved statements failed)" % fatal)
+    elif failures:
+        lines.append("result: COUNTEREXAMPLE (%d conjectural statements failed)" % len(failures))
     else:
         lines.append("result: OK")
     return "\n".join(lines) + "\n"
@@ -306,6 +292,7 @@ def _cmd_check(args) -> int:
             "unknown checks: %s (choose from %s)" % (",".join(bad), ",".join(ALL_CHECKS))
         )
     row_checks = tuple(c for c in check_set if c in ROW_CHECKS)
+    conj12 = "conj12" in check_set
     poly = None
     if args.file:
         parsed = load_sutherland(args.file)
@@ -314,20 +301,30 @@ def _cmd_check(args) -> int:
                 "file is for level %d but --ell %d was requested" % (parsed.ell, args.ell)
             )
         poly = parsed.to_polynomial()
-    elif "conj12" in check_set:
-        if args.ell > SOLVER_FEASIBLE_MAX:
-            raise ValueError(
-                "full-table checks for ell=%d need --file; the reference solver "
-                "is limited to ell <= %d" % (args.ell, SOLVER_FEASIBLE_MAX)
-            )
-        poly = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
+        # Zero coefficients are legitimate, so absent pairs are noted, not refused.
+        pairs = (args.ell + 1) * (args.ell + 2) // 2
+        absent = pairs - len({(max(m, n), min(m, n)) for m, n, _ in parsed.lines if m <= args.ell})
+        if absent:
+            sys.stderr.write("note: %d of %d coefficient pairs are absent from the file "
+                             "and read as 0\n" % (absent, pairs))
+    elif conj12 and args.ell > SOLVER_FEASIBLE_MAX:
+        raise ValueError(
+            "full-table checks for ell=%d need --file; the reference solver "
+            "is limited to ell <= %d" % (args.ell, SOLVER_FEASIBLE_MAX)
+        )
+    else:
+        # One table serves the solve and the row, which reads only its prefix.
+        j = j_coefficients(solver_precision(args.ell) if conj12 else args.ell)
+        if conj12:
+            poly = solve_full_polynomial(args.ell, j)
 
-    report = CongruenceReport(args.ell)
+    records = []
     if row_checks:
-        row = poly.top_row() if args.file else closed_row(args.ell, j_coefficients(args.ell))
-        report = report.merge(check_row(args.ell, row[1:], row_checks))
-    if "conj12" in check_set:
-        report = report.merge(check_conjecture_div(poly))
+        row = poly.top_row() if args.file else closed_row(args.ell, j)
+        records += check_row(args.ell, row[1:], row_checks).records
+    if conj12:
+        records += check_conjecture_div(poly).records
+    report = CongruenceReport(args.ell, records)
     summary = report.summary
     if not summary:
         raise UsageError(
@@ -337,33 +334,29 @@ def _cmd_check(args) -> int:
         if name not in summary:
             sys.stderr.write("note: %s covers no coefficient at ell=%d\n" % (name, args.ell))
 
-    payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    text, doc = _report_text(report), report.to_json_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        sys.stdout.write(_report_text(report))
-    elif args.format == "json":
-        sys.stdout.write(payload)
+        # --out always receives the JSON report; the text report still goes to stdout
+        _deliver(argparse.Namespace(format="json", out=args.out), text, doc)
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(_report_text(report))
-    if report.failures("FATAL"):
-        return 3
-    if report.failures():
-        return 4
-    return 0
+        _deliver(args, text, doc)
+    severities = {rec.severity for rec in report.failures()}
+    return 3 if "FATAL" in severities else 4 if severities else 0
 
 
 def _cmd_crosscheck(args) -> int:
     _check_level(args, args.m_max, "--m-max")
     m_max = args.m_max if args.m_max is not None else args.ell
-    j = j_coefficients(max(m_max, 1))
+    solvable = args.ell <= SOLVER_FEASIBLE_MAX
+    # In solver range the solver's table serves every route; the rows read its prefix.
+    j = j_coefficients(solver_precision(args.ell) if solvable else max(m_max, 1))
     sources = {
         "closed": closed_row(args.ell, j, m_max),
         "recurrence": recurrence_row(args.ell, j, m_max),
     }
-    if args.ell <= SOLVER_FEASIBLE_MAX:
-        solved = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
-        sources["solver"] = solved.top_row()[: m_max + 1]
+    if solvable:
+        sources["solver"] = solve_full_polynomial(args.ell, j).top_row()[: m_max + 1]
     partition = [
         coeff_closed(CoeffRequest(args.ell, m), j)
         for m in range(min(m_max, PARTITION_CHECK_MAX) + 1)

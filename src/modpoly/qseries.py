@@ -143,8 +143,6 @@ class IntSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return IntSeries.zero(self.precision)
             return IntSeries(
                 self.base_exponent, tuple(c * other for c in self.coeffs), self.precision
             )

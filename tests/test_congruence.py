@@ -247,16 +247,6 @@ def test_report_summary_counts():
     assert total == len(report.records)
 
 
-def test_report_merge():
-    a = check_row(5, PHI5_ROW, checks=("prop22",))
-    b = check_row(5, PHI5_ROW, checks=("prop23",))
-    merged = a.merge(b)
-    assert len(merged.records) == len(a.records) + len(b.records)
-    assert merged.stats == {**a.stats, **b.stats}
-    with pytest.raises(ValueError):
-        a.merge(check_row(7, [0] * 7))
-
-
 def test_report_json_schema():
     report = check_row(5, PHI5_ROW)
     doc = report.to_json_dict()

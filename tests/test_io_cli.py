@@ -254,6 +254,24 @@ def test_cli_out_writes_file(tmp_path, capsys):
     assert target.read_text().splitlines()[1].endswith("3720")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jcoeff", "--count", "4"),
+        ("coeff", "--ell", "7", "--m", "3"),
+        ("row", "--ell", "5"),
+        ("poly", "--ell", "3"),
+    ],
+)
+def test_cli_out_holds_what_stdout_would(tmp_path, capsys, argv, fmt):
+    code, expected, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    target = tmp_path / "out.dat"
+    assert run_cli(capsys, *argv, "--format", fmt, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == expected
+
+
 def test_cli_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "poly", "--ell", "3")
     _, second, _ = run_cli(capsys, "poly", "--ell", "3")
@@ -320,6 +338,29 @@ def test_cli_check_level_two_solves_once(capsys, monkeypatch):
         "note: unclaimed_mod3_indivisible_by_3: 0 of 0\n"
         "result: OK\n"
     )
+
+
+def test_cli_builds_at_most_one_j_table(tmp_path, capsys, monkeypatch):
+    counts = []
+
+    def counted(count):
+        counts.append(count)
+        return j_coefficients(count)
+
+    monkeypatch.setattr(io_cli, "j_coefficients", counted)
+    path = tmp_path / "phi5.txt"
+    path.write_text(emit_sutherland_text(PHI5))
+    cases = [
+        (("check", "--ell", "5"), [5]),
+        (("check", "--ell", "5", "--set", "prop23,conj12"), [32]),
+        (("check", "--ell", "5", "--file", str(path), "--set", "prop23,conj12"), []),
+        (("crosscheck", "--ell", "5", "--m-max", "3"), [32]),
+        (("crosscheck", "--ell", "17", "--m-max", "3"), [3]),
+    ]
+    for argv, expected in cases:
+        counts.clear()
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        assert counts == expected, argv
 
 
 @pytest.mark.parametrize(
@@ -408,13 +449,38 @@ def test_cli_check_counterexample_exit_code(tmp_path, capsys):
 
 
 def test_cli_check_out_keeps_text_summary(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "check", "--ell", "5", "--out", str(target)
+    # --out gets the JSON report and stdout the text one, in either format
+    _, text_report, _ = run_cli(capsys, "check", "--ell", "5")
+    _, json_report, _ = run_cli(capsys, "check", "--ell", "5", "--format", "json")
+    assert "result: OK" in text_report
+    assert json.loads(json_report)["ell"] == 5
+    for fmt in ("text", "json"):
+        target = tmp_path / ("report_%s.json" % fmt)
+        code, out, _ = run_cli(
+            capsys, "check", "--ell", "5", "--format", fmt, "--out", str(target)
+        )
+        assert (code, out) == (0, text_report)
+        assert target.read_text() == json_report
+
+
+def test_cli_check_file_notes_absent_pairs(tmp_path, capsys):
+    text = emit_sutherland_text(solve_full_polynomial(7, j_coefficients(58)))
+    full = tmp_path / "phi7.txt"
+    full.write_text(text)
+    argv = ("check", "--ell", "7", "--set", "prop22,prop23,conj25,conj12", "--file")
+    code, full_out, err = run_cli(capsys, *argv, str(full))
+    assert (code, err) == (0, "")
+    # The first 20 lines hold the boundary entry and 19 of the 36 pairs.  The
+    # 17 absent pairs read as 0, which passes every bound, so the report is
+    # unchanged and only the note on stderr tells the truncation apart.
+    truncated = tmp_path / "phi7_head.txt"
+    truncated.write_text("\n".join(text.splitlines()[:20]) + "\n")
+    assert run_cli(capsys, *argv, str(truncated)) == (
+        0,
+        full_out,
+        "note: 17 of 36 coefficient pairs are absent from the file and read as 0\n",
     )
-    assert code == 0
-    assert "result: OK" in out
-    assert json.loads(target.read_text())["ell"] == 5
+    assert full_out.endswith("result: OK\n")
 
 
 def test_cli_crosscheck(capsys):
