@@ -12,6 +12,7 @@ from modpoly import (
     coeff_closed,
     coeff_small_m,
     closed_row,
+    hypergeometric_row,
     j_coefficients,
     partitions,
     recurrence_row,
@@ -58,6 +59,11 @@ print("row for ell=5: ", row)
 
 print("recurrence row:", recurrence_row(5, j))
 print("rows agree:    ", closed_row(5, j) == recurrence_row(5, j))
+
+# A route with no j table at all: E4/E6 as a hypergeometric series in
+# t = 1/j, the row that the coeff, row and check commands serve.
+
+print("hypergeometric:", hypergeometric_row(5) == row)
 
 # The per-term weights are provably integers even though they are
 # assembled from fractions like u!/prod(t_i!).  Watch the cancellation

@@ -1,10 +1,11 @@
 """Exact arithmetic for classical modular polynomial coefficients.
 
 The package computes the coefficients a_{m,n} of Phi_ell(X, Y) for prime
-ell from the q-expansion of the j-invariant, by three independent routes
-(a closed partition sum, a power-series recurrence, and a full solver
-driven by the defining identity), and checks p-adic divisibility
-patterns of the results.
+ell by four independent routes: a closed partition sum, a power-series
+recurrence and a full solver driven by the defining identity, all three
+from the q-expansion of the j-invariant, and for the top row a
+hypergeometric series that needs no j table at all.  It checks p-adic
+divisibility patterns of the results.
 """
 
 from .qseries import IntSeries, PrecisionError
@@ -25,6 +26,7 @@ from .closedform import (
     closed_row,
     coeff_closed,
     coeff_small_m,
+    hypergeometric_row,
     term_weight,
 )
 from .recurrence import (
@@ -71,7 +73,7 @@ __all__ = [
     "PartitionTerm", "binomial", "full_multinomial", "is_prime", "partitions",
     "primes_upto", "stirling_first", "stirling_second",
     "CoeffRequest", "IntegralityError", "closed_row", "coeff_closed", "coeff_small_m",
-    "term_weight",
+    "hypergeometric_row", "term_weight",
     "InconsistentSystemError", "ModularPolynomial", "coeff_recurrence", "d_weight",
     "polynomial_residual", "recurrence_row", "solve_full_polynomial", "verify_d_recurrence",
     "ALL_CHECKS", "INFINITE", "ROW_CHECKS", "CheckRecord", "CongruenceReport",

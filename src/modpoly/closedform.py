@@ -30,10 +30,27 @@ is [q^m] J^k with J = sum_{r>=1} c_{r-1} q^r.  Hence
 partition terms, so the division by k is exact; closed_row checks it on
 every term and raises IntegralityError otherwise.
 
-closed_row evaluates the grouped form and is what the library and the
-CLI use.  coeff_closed and term_weight evaluate the partition sum term by
-term, with no series code at all, and serve as the oracle that tests and
-crosscheck compare closed_row against.
+closed_row evaluates the grouped form.  coeff_closed and term_weight
+evaluate the partition sum term by term, with no series code at all, and
+serve as the oracle that tests and crosscheck compare closed_row against.
+
+hypergeometric_row reaches the same row with no j table, and is the row
+the CLI serves.  Summing the grouped form over k gives, for 0 < m < ell,
+a_{ell,ell-m} = -(ell/(ell-m)) [q^m] jhat^-(ell-m) with jhat = q*j, and
+Lagrange inversion turns that into
+
+    a_{ell,ell-m} = -[t^m] (t/q)^ell          (minus 744 (ell+1) at m = ell)
+
+with t = 1/j and q written as a series in t.  Ramanujan's
+q dj/dq = -j E6/E4 gives t q'(t)/q = r := E4/E6, and since E4 = F(1728t)^4
+and E6 = E4^(3/2) (1-1728t)^(1/2) with F = 2F1(1/12, 5/12; 1; .) (Stiller,
+"Classical automorphic forms and hypergeometric functions", J. Number
+Theory 28, 1988),
+
+    r = (1 - 1728t)^(-1/2) * F(1728t)^(-2),
+
+a series with integer coefficients.  y = (t/q)^ell then satisfies
+t y' = -ell (r - 1) y, that is y_0 = 1 and m y_m = -ell sum_{k=1..m} r_k y_{m-k}.
 """
 
 from __future__ import annotations
@@ -109,6 +126,16 @@ def coeff_closed(req: CoeffRequest, j: JTable) -> int:
     return total
 
 
+def _exact_quotient(num: int, den: int, what: str, *args) -> int:
+    """num / den, or IntegralityError naming ``what % args`` on a remainder."""
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise IntegralityError(
+            "integrality violation: %s leaves remainder %d mod %d" % (what % args, rem, den)
+        )
+    return quotient
+
+
 def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     """[a_{ell,ell-m} for m = 0..m_max] via the partition sum grouped by parts.
 
@@ -136,15 +163,52 @@ def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
                 for d in range(k, m_max + 1)
             ]
         for m in range(k, m_max + 1):
-            term, rem = divmod(ell * binomial(ell - m + k - 1, k - 1) * power[m], k)
-            if rem:
-                raise IntegralityError(
-                    "integrality violation: grouped term for ell=%d, m=%d, k=%d "
-                    "leaves remainder %d mod %d" % (ell, m, k, rem, k)
-                )
+            term = _exact_quotient(ell * binomial(ell - m + k - 1, k - 1) * power[m], k,
+                                   "grouped term for ell=%d, m=%d, k=%d", ell, m, k)
             row[m] += term if k % 2 else -term
     if m_max == ell:
         row[ell] -= (ell + 1) * J[1]
+    return row
+
+
+def _f_ratio(k: int) -> tuple:
+    """(numerator, denominator) of A_k / A_{k-1}, where A_k = [t^k] F(1728t)
+    = (1/12)_k (5/12)_k 1728^k / k!^2."""
+    return 12 * (12 * k - 11) * (12 * k - 7), k * k
+
+
+def hypergeometric_row(ell: int, m_max: int | None = None) -> list:
+    """[a_{ell,ell-m} for m = 0..m_max] from r = E4/E6 as a series in t = 1/j.
+
+    Builds r from F(1728t) = sum A_k t^k and the central binomial series
+    (1 - 1728t)^(-1/2) = sum C(2k,k) 432^k t^k, then runs the recurrence
+    for y = (t/q)^ell (see the module docstring): O(m_max^2) products of
+    integers with no j table, IntSeries or comb arithmetic, so it shares
+    no arithmetic with closed_row, recurrence_row or the solver.  Every
+    division, in A_k and in y_m, is checked with divmod; a remainder
+    raises IntegralityError.
+    """
+    if m_max is None:
+        m_max = ell
+    CoeffRequest(ell, m_max)  # validates ell and m_max
+    n = m_max + 1
+    A = [1]
+    for k in range(1, n):
+        num, den = _f_ratio(k)
+        A.append(_exact_quotient(A[-1] * num, den, "A_%d of 2F1(1/12, 5/12; 1; 1728t)", k))
+    F2 = [sum(map(operator.mul, A[: d + 1], reversed(A[: d + 1]))) for d in range(n)]
+    inverse = [1]  # F^-2: F2 starts with 1, so no division
+    for d in range(1, n):
+        inverse.append(-sum(map(operator.mul, F2[1 : d + 1], reversed(inverse))))
+    central = [math.comb(2 * k, k) * 432 ** k for k in range(n)]
+    r = [sum(map(operator.mul, central[: d + 1], reversed(inverse[: d + 1]))) for d in range(n)]
+    y = [1]
+    for m in range(1, n):
+        total = -ell * sum(map(operator.mul, r[1 : m + 1], reversed(y)))
+        y.append(_exact_quotient(total, m, "y_%d for ell=%d", m, ell))
+    row = [-v for v in y]
+    if m_max == ell:
+        row[ell] -= 744 * (ell + 1)
     return row
 
 

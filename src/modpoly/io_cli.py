@@ -25,11 +25,12 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .closedform import CoeffRequest, closed_row, coeff_closed
+from .closedform import CoeffRequest, closed_row, coeff_closed, hypergeometric_row
 from .comb import is_prime
 from .congruence import ALL_CHECKS, ROW_CHECKS, CongruenceReport, check_conjecture_div, check_row
 from .jfun import j_coefficients
 from .recurrence import (
+    POLY_FEASIBLE_MAX,
     SOLVER_FEASIBLE_MAX,
     ModularPolynomial,
     recurrence_row,
@@ -199,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list from %s (default %%(default)s)" % ",".join(ALL_CHECKS))
     common(p)
 
-    p = sub.add_parser("crosscheck", help="assert closed = recurrence (= solver when feasible)")
+    p = sub.add_parser("crosscheck", help="assert closed = recurrence = hypergeometric "
+                                            "(= solver when feasible)")
     p.add_argument("--m-max", type=int, default=None)
     common(p, output=False)
 
@@ -237,7 +239,7 @@ def _check_level(args, m: int | None = None, flag: str = "") -> None:
 
 def _cmd_coeff(args) -> int:
     _check_level(args, args.m, "--m")
-    value = closed_row(args.ell, j_coefficients(max(args.m, 1)), args.m)[args.m]
+    value = hypergeometric_row(args.ell, args.m)[args.m]
     _deliver(args, "%d\n" % value, {"ell": args.ell, "m": args.m, "value": str(value)})
     return 0
 
@@ -245,7 +247,7 @@ def _cmd_coeff(args) -> int:
 def _cmd_row(args) -> int:
     _check_level(args, args.m_max, "--m-max")
     m_max = args.m_max if args.m_max is not None else args.ell
-    row = closed_row(args.ell, j_coefficients(max(m_max, 1)), m_max)
+    row = hypergeometric_row(args.ell, m_max)
     doc = {"ell": args.ell, "values": [{"m": m, "value": str(v)} for m, v in enumerate(row)]}
     _deliver(args, "".join("%d %d\n" % (m, v) for m, v in enumerate(row)), doc)
     return 0
@@ -253,6 +255,11 @@ def _cmd_row(args) -> int:
 
 def _cmd_poly(args) -> int:
     _check_level(args)
+    if args.ell > POLY_FEASIBLE_MAX:
+        raise ValueError(
+            "the full table for ell=%d is out of reach; poly is limited to ell <= %d"
+            % (args.ell, POLY_FEASIBLE_MAX)
+        )
     poly = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
     text = emit_sutherland_text(poly) if args.format == "text" else emit_polynomial_json(poly)
     _deliver(args, text)
@@ -312,15 +319,23 @@ def _cmd_check(args) -> int:
             "full-table checks for ell=%d need --file; the reference solver "
             "is limited to ell <= %d" % (args.ell, SOLVER_FEASIBLE_MAX)
         )
-    else:
-        # One table serves the solve and the row, which reads only its prefix.
-        j = j_coefficients(solver_precision(args.ell) if conj12 else args.ell)
-        if conj12:
-            poly = solve_full_polynomial(args.ell, j)
+    elif conj12:
+        poly = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
 
+    row = hypergeometric_row(args.ell)
+    if args.file:
+        # A table that is not Phi_ell is a computation error, not evidence
+        # against a proved or conjectured bound, so it is refused before grading.
+        top = poly.top_row()
+        m = next((m for m in range(args.ell + 1) if top[m] != row[m]), None)
+        if m is not None:
+            raise ValueError(
+                "the file is not Phi_%d: its top row first differs at m=%d, "
+                "where a_{%d,%d} is %d, not %d"
+                % (args.ell, m, args.ell, args.ell - m, top[m], row[m])
+            )
     records = []
     if row_checks:
-        row = poly.top_row() if args.file else closed_row(args.ell, j)
         records += check_row(args.ell, row[1:], row_checks).records
     if conj12:
         records += check_conjecture_div(poly).records
@@ -357,16 +372,20 @@ def _cmd_crosscheck(args) -> int:
     }
     if solvable:
         sources["solver"] = solve_full_polynomial(args.ell, j).top_row()[: m_max + 1]
-    partition = [
-        coeff_closed(CoeffRequest(args.ell, m), j)
-        for m in range(min(m_max, PARTITION_CHECK_MAX) + 1)
-    ]
+    # Compared too, on every m each reaches, but left out of the OK line's
+    # method list, whose text callers match on.
+    routes = dict(
+        sources,
+        hypergeometric=hypergeometric_row(args.ell, m_max),
+        partition=[
+            coeff_closed(CoeffRequest(args.ell, m), j)
+            for m in range(min(m_max, PARTITION_CHECK_MAX) + 1)
+        ],
+    )
 
     mismatches = []
     for m in range(m_max + 1):
-        values = {name: vals[m] for name, vals in sources.items()}
-        if m < len(partition):
-            values["partition"] = partition[m]
+        values = {name: vals[m] for name, vals in routes.items() if m < len(vals)}
         if len(set(values.values())) != 1:
             mismatches.append((m, values))
     for m, values in mismatches:

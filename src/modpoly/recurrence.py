@@ -1,9 +1,10 @@
 """Independent routes to modular polynomial coefficients.
 
 Three mechanisms live here, all sharing only the j-invariant table with
-the closed formulas in closedform (recurrence_row borrows CoeffRequest
-to validate its inputs, no arithmetic), which is what makes them usable
-as cross-checks:
+closedform's partition sums (recurrence_row borrows CoeffRequest to
+validate its inputs, no arithmetic), and not even that with
+closedform.hypergeometric_row, the top row the CLI serves.  That is what
+makes them usable as cross-checks:
 
 1. a power-series recurrence: letting jhat = q*j = 1 + 744 q + ..., the
    top-row coefficients satisfy, for 0 < m <= ell,
@@ -194,6 +195,12 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
 # (2-CPU x86-64, Python 3.11), but a higher cap adds "solver" to
 # crosscheck's OK line at ell=17, so it is a spec change and stays 13.
 SOLVER_FEASIBLE_MAX = 13
+
+# Largest level the CLI's poly command solves.  The solve takes 0.6 s at
+# ell=17, 1.1 s at ell=19 and 3.1 s at ell=23 (2-CPU x86-64, Python 3.11),
+# about ell^5.5, so ell=97 would run for hours; the cap keeps every run
+# within seconds.
+POLY_FEASIBLE_MAX = 23
 
 
 def solver_precision(ell: int) -> int:

@@ -12,6 +12,7 @@ from modpoly import (
     closed_row,
     coeff_closed,
     coeff_small_m,
+    hypergeometric_row,
     j_coefficients,
     partitions,
     primes_upto,
@@ -168,6 +169,47 @@ def test_level_two_top_row_from_every_route():
     assert [coeff_closed(CoeffRequest(2, m), J) for m in range(3)] == want
     assert coeff_small_m(CoeffRequest(2, 1), J) == want[1]
     assert solve_full_polynomial(2, j_coefficients(8)).top_row() == want
+    assert hypergeometric_row(2) == want
+
+
+# --- hypergeometric_row --------------------------------------------------
+
+
+def test_hypergeometric_row_matches_closed_row():
+    j = j_coefficients(199)
+    for ell in (2, 3, 5, 7, 31, 97, 199):
+        assert hypergeometric_row(ell) == closed_row(ell, j), ell
+        m_max = min(ell, 30)
+        assert hypergeometric_row(ell, m_max) == closed_row(ell, j, m_max), ell
+
+
+def test_hypergeometric_row_validates_its_request():
+    with pytest.raises(ValueError):
+        hypergeometric_row(9)
+    with pytest.raises(ValueError):
+        hypergeometric_row(5, m_max=6)
+
+
+def test_hypergeometric_row_checks_exact_division(monkeypatch):
+    # one more in every ratio's numerator makes A_1 = 61, and then
+    # A_2 = 61 * (12 * 13 * 17 + 1) / 4 leaves a remainder
+    real = closedform._f_ratio
+    monkeypatch.setattr(closedform, "_f_ratio", lambda k: (real(k)[0] + 1, real(k)[1]))
+    with pytest.raises(IntegralityError, match="A_2 of 2F1"):
+        hypergeometric_row(7)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_top_row_from_negative_powers_of_jhat(ell):
+    # Oracle: a_{ell,ell-m} = -(ell/(ell-m)) [q^m] jhat^-(ell-m) for 0 < m < ell,
+    # the grouped closed form summed over k with the binomial series.
+    inverse = j_coefficients(ell + 1).hat_series(ell + 1).invert(ell + 1)
+    want = []
+    for m in range(1, ell):
+        value, rem = divmod(-ell * (inverse ** (ell - m)).coefficient(m), ell - m)
+        assert rem == 0, m
+        want.append(value)
+    assert hypergeometric_row(ell)[1:ell] == want
 
 
 # --- coeff_small_m -------------------------------------------------------

@@ -237,6 +237,27 @@ def test_cli_poly_json_matches_solver(capsys):
     assert {(m, n): v for m, n, v in poly.items()} == PHI2_KNOWN
 
 
+def test_cli_poly_refuses_levels_past_its_limit(capsys, monkeypatch):
+    started = []
+
+    def stop(*args):
+        started.append(args)
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(io_cli, "j_coefficients", stop)
+    monkeypatch.setattr(io_cli, "solve_full_polynomial", stop)
+    assert io_cli.POLY_FEASIBLE_MAX == 23
+    for ell in (29, 97):
+        assert run_cli(capsys, "poly", "--ell", str(ell)) == (
+            2, "", "error: the full table for ell=%d is out of reach; "
+            "poly is limited to ell <= 23\n" % ell,
+        )
+    assert started == []
+    # ell=23 is let through: its j table is the first thing built
+    assert run_cli(capsys, "poly", "--ell", "23") == (2, "", "error: stopped\n")
+    assert started == [(23 * 23 + 23 + 2,)]
+
+
 def test_cli_poly_text_round_trip(capsys):
     code, out, _ = run_cli(capsys, "poly", "--ell", "2", "--format", "text")
     assert code == 0
@@ -351,7 +372,9 @@ def test_cli_builds_at_most_one_j_table(tmp_path, capsys, monkeypatch):
     path = tmp_path / "phi5.txt"
     path.write_text(emit_sutherland_text(PHI5))
     cases = [
-        (("check", "--ell", "5"), [5]),
+        (("coeff", "--ell", "97", "--m", "90"), []),
+        (("row", "--ell", "5"), []),
+        (("check", "--ell", "5"), []),
         (("check", "--ell", "5", "--set", "prop23,conj12"), [32]),
         (("check", "--ell", "5", "--file", str(path), "--set", "prop23,conj12"), []),
         (("crosscheck", "--ell", "5", "--m-max", "3"), [32]),
@@ -425,11 +448,20 @@ def test_cli_check_file_level_ignores_digits_in_the_file_name(tmp_path, capsys):
     assert "result: OK" in out
 
 
-def test_cli_check_fatal_exit_code(tmp_path, capsys):
+def test_cli_check_fatal_exit_code(tmp_path, capsys, monkeypatch):
     entries = dict(PHI5_FACTORED)
     entries[(4, 5)] = 7  # m=1 coefficient loses its proved 2- and 3-divisibility
+    altered = ModularPolynomial(5, entries)
     path = tmp_path / "phi5.txt"
-    path.write_text(emit_sutherland_text(ModularPolynomial(5, entries)))
+    path.write_text(emit_sutherland_text(altered))
+    # A table whose top row is not Phi_5's is refused before any valuation.
+    assert run_cli(capsys, "check", "--ell", "5", "--file", str(path)) == (
+        2, "", "error: the file is not Phi_5: its top row first differs at m=1, "
+        "where a_{5,4} is 7, not %d\n" % PHI5_FACTORED[(4, 5)],
+    )
+    # A real Phi_5 holds the proved bounds, so exit 3 is reached only through
+    # a row source that agrees with the altered file.
+    monkeypatch.setattr(io_cli, "hypergeometric_row", lambda ell: altered.top_row())
     code, out, _ = run_cli(capsys, "check", "--ell", "5", "--file", str(path))
     assert code == 3
     assert "result: FATAL" in out
@@ -520,8 +552,27 @@ def test_cli_crosscheck_runs_partition_sum_up_to_its_bound(capsys, monkeypatch):
     assert seen == list(range(io_cli.PARTITION_CHECK_MAX + 1))
     (line,) = [l for l in out.splitlines() if l.startswith("MISMATCH at")]
     good = real(CoeffRequest(23, 4), j_coefficients(4))
-    assert line == "MISMATCH at m=4: closed=%d, partition=%d, recurrence=%d" % (good, good + 1, good)
+    assert line == (
+        "MISMATCH at m=4: closed=%d, hypergeometric=%d, partition=%d, recurrence=%d"
+        % (good, good, good + 1, good)
+    )
     assert "crosscheck: MISMATCH (1 of 24 rows)" in out
+
+
+def test_cli_crosscheck_compares_the_hypergeometric_row_on_every_m(capsys, monkeypatch):
+    real = io_cli.hypergeometric_row
+
+    def off_by_one_at_the_end(ell, m_max):
+        row = real(ell, m_max)
+        return row[:-1] + [row[-1] + 1]
+
+    monkeypatch.setattr(io_cli, "hypergeometric_row", off_by_one_at_the_end)
+    code, out, _ = run_cli(capsys, "crosscheck", "--ell", "23")
+    good = real(23)[23]
+    assert (code, out) == (3, (
+        "MISMATCH at m=23: closed=%d, hypergeometric=%d, recurrence=%d\n"
+        "crosscheck: MISMATCH (1 of 24 rows)\n" % (good, good + 1, good)
+    ))
 
 
 def test_cli_usage_errors(capsys):
