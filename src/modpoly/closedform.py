@@ -82,28 +82,32 @@ class CoeffRequest:
             raise ValueError("m must lie in [0, ell], got m=%r for ell=%d" % (self.m, self.ell))
 
 
+def _exact_quotient(num: int, den: int, what: str, *args) -> int:
+    """num / den, or IntegralityError naming ``what % args`` on a remainder."""
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise IntegralityError(
+            "integrality violation: %s leaves remainder %d mod %d" % (what % args, rem, den)
+        )
+    return quotient
+
+
 def term_weight(ell: int, m: int, term: PartitionTerm) -> int:
     """Integer weight of one partition term in the a_{ell,ell-m} sum.
 
     Value: (-1)^u * (u! / prod t_i!) * ell * C(ell-m+u, u) where u is one
     less than the number of parts.  Checked on every call: the partition
-    must have weight m, m must not exceed ell, and the exact rational
-    must reduce to an integer.
+    must have weight m, m must not exceed ell, and u! * ell * C(ell-m+u, u)
+    must divide exactly by prod t_i!.
     """
     if term.weight() != m:
         raise ValueError("partition %r has weight %d, expected m=%d" % (term, term.weight(), m))
     if m > ell:
         raise ValueError("m=%d exceeds ell=%d" % (m, ell))
     u = term.u()
-    den = 1
-    for ti in term.t:
-        den *= math.factorial(ti)
-    w = Fraction(math.factorial(u) * ell * binomial(ell - m + u, u), den)
-    if w.denominator != 1:
-        raise IntegralityError(
-            "integrality violation: weight %s for ell=%d, m=%d, term=%r" % (w, ell, m, term)
-        )
-    value = int(w)
+    value = _exact_quotient(math.factorial(u) * ell * binomial(ell - m + u, u),
+                            math.prod(map(math.factorial, term.t)),
+                            "weight for ell=%d, m=%d, term=%r", ell, m, term)
     return -value if u % 2 else value
 
 
@@ -116,24 +120,11 @@ def coeff_closed(req: CoeffRequest, j: JTable) -> int:
     c = j.values  # c[i] holds c_{i-1}, so c_{r-1} is c[r]
     total = 0
     for term in partitions(m):
-        w = term_weight(ell, m, term)
-        monomial = 1
-        for ri, ti in zip(term.r, term.t):
-            monomial *= c[ri] ** ti
-        total += w * monomial
+        monomial = math.prod(map(pow, map(c.__getitem__, term.r), term.t))
+        total += term_weight(ell, m, term) * monomial
     if m == ell:
         total -= (ell + 1) * c[1]
     return total
-
-
-def _exact_quotient(num: int, den: int, what: str, *args) -> int:
-    """num / den, or IntegralityError naming ``what % args`` on a remainder."""
-    quotient, rem = divmod(num, den)
-    if rem:
-        raise IntegralityError(
-            "integrality violation: %s leaves remainder %d mod %d" % (what % args, rem, den)
-        )
-    return quotient
 
 
 def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:

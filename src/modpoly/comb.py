@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, NamedTuple
 
 
@@ -18,31 +19,10 @@ class PartitionTerm(NamedTuple):
     t: tuple
 
     def weight(self) -> int:
-        return sum(ri * ti for ri, ti in zip(self.r, self.t))
+        return sum(map(operator.mul, self.r, self.t))
 
     def u(self) -> int:
         return sum(self.t) - 1
-
-
-def _descending_partitions(m: int) -> Iterator[list]:
-    # parts in weakly decreasing order, enumerated in decreasing
-    # lexicographic order starting from [m]; the yielded list is reused
-    a = [m]
-    while True:
-        yield a
-        k = len(a) - 1
-        while k >= 0 and a[k] == 1:
-            k -= 1
-        if k < 0:
-            return
-        limit = a[k] - 1
-        total = a[k] + (len(a) - k - 1)
-        del a[k:]
-        while total >= limit:
-            a.append(limit)
-            total -= limit
-        if total:
-            a.append(total)
 
 
 def partitions(m: int) -> Iterator[PartitionTerm]:
@@ -52,19 +32,41 @@ def partitions(m: int) -> Iterator[PartitionTerm]:
     sorted descending, so partitions(4) yields (4), (3,1), (2,2), (2,1,1),
     (1,1,1,1) in that sequence.  Terms are produced incrementally; the
     full list is never materialized.
+
+    The partition is kept in multiplicity form, its distinct parts r
+    (increasing) and their multiplicities t, and stepped in place: take
+    one copy of the smallest part x > 1, and write it together with all
+    the 1s as parts x - 1 and at most one smaller remainder part.  Each
+    step is a fixed number of list operations at the front of r and t,
+    so the enumeration costs O(1) amortized per partition, plus building
+    the yielded tuples, one slot per distinct part (Zoghbi and
+    Stojmenovic, "Fast algorithms for generating integer partitions",
+    Int. J. Comput. Math. 70, 1998; Knuth, TAOCP 4A, 7.2.1.4).
     """
     if m < 1:
         raise ValueError("m must be positive")
-    for parts in _descending_partitions(m):
-        r = []
-        t = []
-        for p in reversed(parts):
-            if r and r[-1] == p:
-                t[-1] += 1
-            else:
-                r.append(p)
-                t.append(1)
+    r = [m]
+    t = [1]
+    while True:
         yield PartitionTerm(tuple(r), tuple(t))
+        ones = 0
+        if r[0] == 1:
+            ones = t[0]
+            del r[0], t[0]
+            if not r:
+                return
+        x = r[0]
+        if t[0] == 1:
+            del r[0], t[0]
+        else:
+            t[0] -= 1
+        count, rest = divmod(x + ones, x - 1)
+        if rest:
+            r[:0] = (rest, x - 1)
+            t[:0] = (1, count)
+        else:
+            r.insert(0, x - 1)
+            t.insert(0, count)
 
 
 def binomial(n: int, k: int) -> int:

@@ -180,15 +180,6 @@ class IntSeries:
         """Exact multiplication by the monomial q^k."""
         return IntSeries(self.base_exponent + k, self.coeffs, self.precision + k)
 
-    def truncate(self, precision: int) -> "IntSeries":
-        if precision > self.precision:
-            raise PrecisionError(
-                "cannot extend precision from %d to %d" % (self.precision, precision)
-            )
-        if precision == self.precision:
-            return self
-        return IntSeries(self.base_exponent, self.coeffs, precision)
-
     def invert(self, out_precision: int) -> "IntSeries":
         """Multiplicative inverse, known below q^out_precision.
 

@@ -1,10 +1,12 @@
-"""Shared oracle data for the test suite.
+"""Shared oracle data and helpers for the test suite.
 
 PHI5_FACTORED holds every coefficient a_{m,n} of the level-5 classical
 modular polynomial (m <= n <= 5, excluding the monic X^6/Y^6 terms),
 entered in fully factored form so each line can be eyeballed against
 published tables independently of any code in this package.
 """
+
+from modpoly import IntSeries
 
 # Filled in by test_acceptance.py; printed after the run so the verdict
 # lines survive pytest's output capture.
@@ -16,6 +18,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line("")
         for n in sorted(ACCEPTANCE_VERDICTS):
             terminalreporter.write_line("ACCEPTANCE %d: %s" % (n, ACCEPTANCE_VERDICTS[n]))
+
+
+def truncated(series, precision):
+    """series known only below q^precision; the precision may only go down."""
+    assert precision <= series.precision, (precision, series.precision)
+    return IntSeries(series.base_exponent, series.coeffs, precision)
 
 
 PHI5_FACTORED = {

@@ -1,5 +1,7 @@
 """Closed partition-sum coefficients, checked against published level-5 values."""
 
+import re
+
 import pytest
 from conftest import PHI2_KNOWN, PHI5_FACTORED
 from hypothesis import given, settings, strategies as st
@@ -96,6 +98,19 @@ def test_term_weight_always_integral(ell, m):
         term_weight(ell, m, term)
 
 
+def test_term_weight_checks_exact_division(monkeypatch):
+    # with C(ell-m+u, u) one too large, (2^3) at ell=7 weighs 2! * 7 * 4 / 3!,
+    # and the first term of coeff_closed's sum to fail is (3^2): 1! * 7 * 3 / 2!
+    real = closedform.binomial
+    monkeypatch.setattr(closedform, "binomial", lambda n, k: real(n, k) + 1)
+    term = PartitionTerm((2,), (3,))
+    with pytest.raises(IntegralityError, match=re.escape("ell=7, m=6, term=%r" % (term,))):
+        term_weight(7, 6, term)
+    first_to_fail = PartitionTerm((3,), (2,))
+    with pytest.raises(IntegralityError, match=re.escape("ell=7, m=6, term=%r" % (first_to_fail,))):
+        coeff_closed(CoeffRequest(7, 6), J)
+
+
 def test_integrality_error_is_arithmetic_error():
     assert issubclass(IntegralityError, ArithmeticError)
 
@@ -144,6 +159,13 @@ def test_closed_row_matches_term_by_term_sum(ell):
     assert closed_row(ell, j, m_max=30) == [
         coeff_closed(CoeffRequest(ell, m), j) for m in range(31)
     ]
+
+
+def test_term_by_term_sum_matches_hypergeometric_row_at_199():
+    # a level the library-session benchmark asks about, past crosscheck-sweep's ell <= 97
+    j = j_coefficients(25)
+    want = hypergeometric_row(199, 25)
+    assert [coeff_closed(CoeffRequest(199, m), j) for m in range(26)] == want
 
 
 def test_closed_row_matches_recurrence_on_full_rows():

@@ -70,6 +70,28 @@ def test_partitions_of_four_exact_order():
     ]
 
 
+def descending_partitions_oracle(m, largest):
+    # every partition of m into parts <= largest, parts descending,
+    # larger first parts first (reverse lexicographic order)
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest), 0, -1):
+        for rest in descending_partitions_oracle(m - first, first):
+            yield (first,) + rest
+
+
+def multiplicity_form(parts):
+    r = sorted(set(parts))
+    return PartitionTerm(tuple(r), tuple(parts.count(p) for p in r))
+
+
+def test_partitions_match_recursive_oracle():
+    for m in range(1, 26):
+        want = [multiplicity_form(parts) for parts in descending_partitions_oracle(m, m)]
+        assert list(partitions(m)) == want, m
+
+
 def test_partition_counts_frozen():
     expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
                 231, 297, 385, 490, 627]

