@@ -8,6 +8,12 @@ COUNTEREXAMPLE on failure).  Corner statements bound ord_2 / ord_3 /
 ord_5 of a_{m,n} linearly in c = ell + 1 - m - n when c > 0; these are
 conjectural as well.
 
+Every valuation is exact and comes from ``ord_p``: ord_2 is the position
+of the lowest set bit, and an odd p is divided out with one ``divmod``
+per step of a squaring search (p, p^2, p^4, ..., then back down), so a
+valuation e costs O(log e) divisions.  Valuations and verdicts are
+immutable named tuples.
+
 Checkers never raise on a failed comparison; they record verdicts so a
 sweep can aggregate.  Zero coefficients have INFINITE valuation and pass
 everything vacuously.
@@ -16,6 +22,7 @@ everything vacuously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .comb import is_prime
 from .recurrence import ModularPolynomial
@@ -26,8 +33,7 @@ ALL_CHECKS = ("prop22", "prop23", "conj25", "conj12")
 _FATAL_CHECKS = frozenset({"prop22", "prop23"})
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """ord_p of an integer; value None stands for INFINITE (input 0)."""
 
     value: int | None
@@ -47,21 +53,36 @@ INFINITE = Valuation(None)
 
 
 def ord_p(x: int, p: int) -> Valuation:
-    """Largest e with p^e dividing x; INFINITE when x is 0."""
+    """Largest e with p^e dividing x; INFINITE when x is 0.
+
+    x must be an int (a bool counts as one); a float, even an integral
+    one, raises TypeError rather than being graded inexactly.
+    """
+    if not isinstance(x, int):
+        raise TypeError("x must be an integer, got %r" % (x,))
+    if p == 2:
+        return Valuation((x & -x).bit_length() - 1) if x else INFINITE
     if not is_prime(p):
         raise ValueError("p must be prime, got %r" % (p,))
     if x == 0:
         return INFINITE
-    if x < 0:
-        x = -x
-    e = 0
-    chunk = p ** 64
-    while x % chunk == 0:
-        x //= chunk
-        e += 64
-    while x % p == 0:
-        x //= p
-        e += 1
+    # Up: divide by p, p^2, p^4, ... while they divide, so after k steps
+    # 2^k - 1 factors are gone and p^(2^k) leaves the nonzero remainder r.
+    e, powers, pk = 0, [], p
+    q, r = divmod(x, p)
+    while not r:
+        x = q
+        e += 1 << len(powers)
+        powers.append(pk)
+        pk *= pk
+        q, r = divmod(x, pk)
+    # Down: what is left is below 2^k and r, smaller than p^(2^k), has the
+    # same valuation; read it off bit by bit, largest power first.
+    for k in range(len(powers) - 1, -1, -1):
+        q, rem = divmod(r, powers[k])
+        if not rem:
+            r = q
+            e += 1 << k
     return Valuation(e)
 
 
@@ -86,8 +107,7 @@ def five_predicted(ell: int, m: int) -> bool:
     return (ell % 5, m % 5) in {(1, 4), (3, 4), (2, 3), (4, 2)}
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check: str            # prop22 | prop23 | conj25 | conj12
     index: tuple          # (m,) for row checks, (m, n) for corner checks
     prime: int

@@ -20,6 +20,7 @@ Exit codes of the CLI: 0 success, 1 usage error, 2 computation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -164,7 +165,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args keeps no state in it."""
     top = _ArgumentParser(
         prog="modpoly",
         description="Exact modular polynomial coefficients and divisibility checks.",

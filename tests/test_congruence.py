@@ -1,5 +1,7 @@
 """Valuation arithmetic and the divisibility checkers."""
 
+import hashlib
+
 import pytest
 from conftest import PHI5_FACTORED
 from hypothesis import given, strategies as st
@@ -8,12 +10,15 @@ from modpoly import (
     ALL_CHECKS,
     INFINITE,
     ROW_CHECKS,
+    CheckRecord,
     CongruenceReport,
     ModularPolynomial,
     Valuation,
     check_conjecture_div,
     check_row,
+    cli_main,
     five_predicted,
+    hypergeometric_row,
     j_coefficients,
     ord_p,
     recurrence_row,
@@ -21,6 +26,18 @@ from modpoly import (
     required_two_valuation,
     solve_full_polynomial,
 )
+from modpoly.recurrence import solver_precision
+
+
+def naive_ord(x, p):
+    """Test oracle: ord_p(x) by dividing out one p at a time."""
+    if x == 0:
+        return INFINITE
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return Valuation(e)
 
 
 # --- ord_p ---------------------------------------------------------------
@@ -46,6 +63,43 @@ def test_ord_requires_prime():
         ord_p(12, 6)
     with pytest.raises(ValueError):
         ord_p(12, 1)
+    with pytest.raises(ValueError):
+        ord_p(0, 9)
+
+
+def test_ord_requires_an_integer():
+    # an inexact float would otherwise be graded as if it were exact
+    for x in (9.0, 1e22, 2.5):
+        with pytest.raises(TypeError):
+            ord_p(x, 3)
+    with pytest.raises(TypeError):
+        ord_p(1e22, 5)
+    with pytest.raises(TypeError):
+        ord_p(8.0, 2)
+    # bool is an int
+    assert ord_p(True, 3) == Valuation(0)
+    assert ord_p(True, 2) == Valuation(0)
+    assert ord_p(False, 5) == INFINITE
+
+
+def test_ord_high_powers_of_odd_primes():
+    assert ord_p(3 ** 500 * 7, 3) == Valuation(500)
+    assert ord_p(-(5 ** 130), 5) == Valuation(130)
+    for e in (63, 64, 65, 127, 128, 129, 255, 256):
+        assert ord_p(-(3 ** e) * 2, 3) == Valuation(e), e
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    e=st.integers(0, 300),
+    u=st.integers(1, 10 ** 40),
+    negative=st.booleans(),
+)
+def test_ord_matches_naive_oracle(p, e, u, negative):
+    if u % p == 0:
+        u += 1
+    x = (-1 if negative else 1) * p ** e * u
+    assert ord_p(x, p) == naive_ord(x, p) == Valuation(e)
 
 
 nonzero = st.integers(-10 ** 12, 10 ** 12).filter(lambda n: n != 0)
@@ -70,6 +124,25 @@ def test_valuation_comparisons():
     assert not Valuation(3).at_least(4)
     assert str(INFINITE) == "inf"
     assert str(Valuation(7)) == "7"
+
+
+def test_records_are_immutable_tuples():
+    rec = CheckRecord("prop22", (1,), 2, 3, Valuation(3))
+    assert rec == CheckRecord("prop22", (1,), 2, 3, Valuation(3))
+    assert rec != CheckRecord("prop22", (1,), 2, 3, Valuation(4))
+    assert str(rec) == (
+        "CheckRecord(check='prop22', index=(1,), prime=2, required=3, "
+        "observed=Valuation(value=3))"
+    )
+    assert rec.passed and rec.severity == "FATAL"
+    with pytest.raises(AttributeError):
+        rec.observed = INFINITE
+    with pytest.raises(AttributeError):
+        rec.required = 0
+    with pytest.raises(AttributeError):
+        Valuation(3).value = 4
+    with pytest.raises(AttributeError):
+        INFINITE.value = 0
 
 
 # --- required valuation tables --------------------------------------------
@@ -233,6 +306,43 @@ def test_conjecture_div_only_positive_c():
     poly = ModularPolynomial(5, dict(PHI5_FACTORED))
     report = check_conjecture_div(poly)
     assert all(sum(r.index) <= poly.ell for r in report.records)
+
+
+# --- same verdicts as the naive oracle ---------------------------------------
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 97, 199])
+def test_check_row_records_match_naive_oracle(ell):
+    row = hypergeometric_row(ell)[1:]
+    records = check_row(ell, row).records
+    assert records == [
+        CheckRecord(r.check, r.index, r.prime, r.required, naive_ord(row[r.index[0] - 1], r.prime))
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_check_conjecture_div_records_match_naive_oracle(ell):
+    poly = solve_full_polynomial(ell, j_coefficients(solver_precision(ell)))
+    records = check_conjecture_div(poly).records
+    assert records
+    assert records == [
+        CheckRecord(r.check, r.index, r.prime, r.required, naive_ord(poly.get(*r.index), r.prime))
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (("check", "--ell", "199", "--format", "json"),
+     "04c66f0ecc1997544ebaed1a838f8d5001c5827cfcd4a36feea13467fc67c81d"),
+    (("check", "--ell", "13", "--set", "prop22,prop23,conj25,conj12"),
+     "af41d12c49530b8db9d8891aded9379aee0d66606a9612b12c24b725a29b102d"),
+])
+def test_check_report_bytes_pinned(capsys, argv, sha256):
+    code = cli_main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 # --- report plumbing ---------------------------------------------------------

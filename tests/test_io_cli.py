@@ -299,6 +299,29 @@ def test_cli_deterministic_output(capsys):
     assert first == second
 
 
+def test_cli_calls_in_one_process_share_no_state(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; each call's options and errors
+    # must still stay with that call.
+    run_cli(capsys, "poly", "--ell", "5", "--format", "text")
+    code, out, _ = run_cli(capsys, "poly", "--ell", "5")
+    assert code == 0 and json.loads(out)["ell"] == 5
+
+    table = tmp_path / "phi5.txt"
+    table.write_text(emit_sutherland_text(PHI5))
+    expected = run_cli(capsys, "check", "--ell", "5")
+    assert run_cli(capsys, "check", "--ell", "5", "--file", str(table))[0] == 0
+
+    def no_file(path):
+        raise AssertionError("check without --file read %s" % path)
+
+    monkeypatch.setattr(io_cli, "load_sutherland", no_file)
+    assert run_cli(capsys, "check", "--ell", "5") == expected
+
+    code, _, err = run_cli(capsys, "coeff", "--ell", "5")
+    assert code == 1 and err.startswith("error:")
+    assert run_cli(capsys, "coeff", "--ell", "5", "--m", "1") == (0, "3720\n", "")
+
+
 def test_cli_check_computed_row(capsys):
     code, out, _ = run_cli(capsys, "check", "--ell", "11")
     assert code == 0
