@@ -291,6 +291,34 @@ def _report_text(report: CongruenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _screen_table(poly: ModularPolynomial, row: list) -> None:
+    """Raise ValueError if ``poly`` is not Phi_ell by either of two screens.
+
+    A table that is not Phi_ell is a computation error, not evidence
+    against a proved or conjectured bound, so it is refused before
+    grading.  Its top row must equal ``row``, and every pair must obey
+    Kronecker's congruence Phi_ell(X, Y) = (X^ell - Y)(X - Y^ell) mod ell:
+    a_{1,1} = -1 and every other a_{m,n} = 0 mod ell, a_{ell,ell} aside.
+    Both are necessary conditions only: off the top row, a change by a
+    multiple of ell gets through.
+    """
+    ell = poly.ell
+    top = poly.top_row()
+    m = next((m for m in range(ell + 1) if top[m] != row[m]), None)
+    if m is not None:
+        raise ValueError(
+            "the file is not Phi_%d: its top row first differs at m=%d, "
+            "where a_{%d,%d} is %d, not %d" % (ell, m, ell, ell - m, top[m], row[m])
+        )
+    for m, n, value in poly.items():
+        want = -1 if (m, n) == (1, 1) else 0
+        if (value - want) % ell and (m, n) != (ell, ell):
+            raise ValueError(
+                "the file is not Phi_%d: a_{%d,%d} is %d mod %d, but Kronecker's "
+                "congruence requires %d" % (ell, m, n, value % ell, ell, want % ell)
+            )
+
+
 def _cmd_check(args) -> int:
     check_set = tuple(s.strip() for s in args.set.split(",") if s.strip())
     _check_level(args)
@@ -327,16 +355,7 @@ def _cmd_check(args) -> int:
 
     row = hypergeometric_row(args.ell)
     if args.file:
-        # A table that is not Phi_ell is a computation error, not evidence
-        # against a proved or conjectured bound, so it is refused before grading.
-        top = poly.top_row()
-        m = next((m for m in range(args.ell + 1) if top[m] != row[m]), None)
-        if m is not None:
-            raise ValueError(
-                "the file is not Phi_%d: its top row first differs at m=%d, "
-                "where a_{%d,%d} is %d, not %d"
-                % (args.ell, m, args.ell, args.ell - m, top[m], row[m])
-            )
+        _screen_table(poly, row)
     records = []
     if row_checks:
         records += check_row(args.ell, row[1:], row_checks).records

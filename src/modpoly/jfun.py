@@ -5,12 +5,15 @@ Everything is derived from three classical series:
 * the Euler product prod_{n>=1} (1 - q^n), expanded sparsely via the
   pentagonal number theorem;
 * the discriminant form Delta = q * prod_{n>=1} (1 - q^n)^24;
-* the weight-4 Eisenstein series E4 = 1 + 240 * sum sigma_3(n) q^n.
+* the Eisenstein series E4 = 1 + 240 * sum sigma_3(n) q^n and
+  E8 = 1 + 480 * sum sigma_7(n) q^n, from one divisor sieve.
 
 The j-invariant is the quotient E4^3 / Delta = 1/q + 744 + 196884 q + ...
 j_coefficients builds it without a series inverse: Delta comes from
 delta_series, the Euler product raised to the 24th power by the series
-power kernel, and j * Delta = E4^3 is then solved for j term by term.
+power kernel, E4^3 is the one product E4 * E8 (E8 = E4^2, since the
+weight-8 forms are one-dimensional), and j * Delta = E4^3 is then solved
+for j term by term.
 Its coefficients c_i (i >= -1) are what the closed coefficient formulas
 consume, packaged in a JTable indexed from -1.
 """
@@ -52,16 +55,29 @@ def delta_series(precision: int) -> IntSeries:
     return eta24.shift(1)
 
 
-def e4_series(precision: int) -> IntSeries:
-    """Eisenstein series of weight 4: constant term 1, then 240*sigma_3(n)."""
+def _eisenstein_series(precision: int, weight: int, factor: int) -> IntSeries:
+    """1 + factor * sum sigma_{weight-1}(n) q^n, by a divisor sieve."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     coeffs = [1] + [0] * (precision - 1)
     for d in range(1, precision):
-        term = 240 * d ** 3
+        term = factor * d ** (weight - 1)
         for n in range(d, precision, d):
             coeffs[n] += term
     return IntSeries(0, coeffs, precision)
+
+
+def e4_series(precision: int) -> IntSeries:
+    """Eisenstein series of weight 4: constant term 1, then 240*sigma_3(n)."""
+    return _eisenstein_series(precision, 4, 240)
+
+
+def e8_series(precision: int) -> IntSeries:
+    """Eisenstein series of weight 8: constant term 1, then 480*sigma_7(n).
+
+    The weight-8 forms are one-dimensional, so E8 = E4^2 exactly.
+    """
+    return _eisenstein_series(precision, 8, 480)
 
 
 @dataclass(frozen=True)
@@ -123,14 +139,17 @@ class JTable:
 def j_coefficients(count: int) -> JTable:
     """Compute c_{-1} .. c_{count-1} exactly from j * Delta = E4^3.
 
-    With Delta = q * sum a_k q^k and a_0 = 1, the coefficient of q^i reads
+    E4^3 is taken as E4 * E8, one dense product.  With Delta = q * sum a_k q^k
+    and a_0 = 1, the coefficient of q^i reads
     c_{i-1} = [q^i] E4^3 - sum_{k=1..i} a_k c_{i-1-k}.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    e4cubed = (e4_series(count + 1) ** 3).coeffs
+    e4 = e4_series(count + 1).coeffs
+    e8 = e8_series(count + 1).coeffs
     a = delta_series(count + 2).coeffs
     values = []
     for i in range(count + 1):
-        values.append(e4cubed[i] - sum(map(mul, a[1 : i + 1], reversed(values))))
+        e4cubed = sum(map(mul, e4, e8[i::-1]))
+        values.append(e4cubed - sum(map(mul, a[1 : i + 1], reversed(values))))
     return JTable(tuple(values))

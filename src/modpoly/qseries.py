@@ -18,7 +18,9 @@ Arithmetic tracks precision pessimistically:
 * invert: requires a unit leading coefficient (+1 or -1) so the inverse
   stays integral.
 
-``**`` and ``invert`` share one kernel, Miller's power recurrence.
+``**`` and ``invert`` share one kernel, Miller's power recurrence; its
+single step, _miller_next, also ends each power of the upward product
+chain in recurrence.recurrence_row.
 
 Values are immutable.  Instances with equal base, coefficient block and
 precision compare equal, and normalization trims leading zeros (raising
@@ -208,19 +210,29 @@ class IntSeries:
     def _power_coeffs(self, alpha: int, count: int) -> list:
         """First count coefficients of f^alpha, for f = self / q^base_exponent.
 
-        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-        i f_0 g_i = sum_{s=1..i} ((alpha+1) s - i) f_s g_{i-s}, for
-        alpha >= -1, and alpha = -1 needs a unit f_0.  Every division is
-        checked with divmod; a remainder raises ArithmeticError.
+        One step of Miller's recurrence per coefficient (_miller_next), for
+        alpha >= -1; alpha = -1 needs a unit f_0.
         """
         f = self.coeffs
         g = [f[0] ** abs(alpha)] if count > 0 else []
-        step = alpha + 1
-        for i in range(1, count):
-            weights = itertools.count(step - i, step)  # (alpha+1) s - i, s = 1..i
-            acc = sum(map(mul, map(mul, weights, f[1 : i + 1]), reversed(g)))
-            quotient, remainder = divmod(acc, i * f[0])
-            if remainder:
-                raise ArithmeticError("coefficient %d of a series power is not an integer" % i)
-            g.append(quotient)
+        for _ in range(1, count):
+            g.append(_miller_next(f, g, alpha))
         return g
+
+
+def _miller_next(f, g, alpha: int) -> int:
+    """g_i for i = len(g) >= 1, where g holds the first i coefficients of f^alpha.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    i f_0 g_i = sum_{s=1..i} ((alpha+1) s - i) f_s g_{i-s}, which reads
+    f_0 .. f_i.  The division is checked with divmod; a remainder raises
+    ArithmeticError.
+    """
+    i = len(g)
+    step = alpha + 1
+    weights = itertools.count(step - i, step)  # (alpha+1) s - i, s = 1..i
+    acc = sum(map(mul, map(mul, weights, f[1 : i + 1]), reversed(g)))
+    quotient, remainder = divmod(acc, i * f[0])
+    if remainder:
+        raise ArithmeticError("coefficient %d of a series power is not an integer" % i)
+    return quotient

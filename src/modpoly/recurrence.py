@@ -13,7 +13,10 @@ makes them usable as cross-checks:
                        - [m = ell] (ell+1) c_0
 
    with a_{ell,ell} = -1 starting the recursion, and [m = ell] is 1 at
-   m = ell and 0 below it;
+   m = ell and 0 below it.  recurrence_row builds the powers jhat^k it
+   reads upward, each from jhat^(k-1) with one big-int product per
+   coefficient, and closes each with one checked step of the Miller
+   recurrence behind the series power kernel;
 
 2. rational d-weights attached to sub-multiplicity splits of a partition,
    together with a sum rule they must satisfy (verify_d_recurrence);
@@ -27,11 +30,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .closedform import CoeffRequest
 from .comb import full_multinomial, is_prime
 from .jfun import JTable
-from .qseries import IntSeries
+from .qseries import IntSeries, _miller_next
 
 
 class InconsistentSystemError(ArithmeticError):
@@ -98,9 +102,14 @@ _ROW_CACHE: dict = {}
 def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     """[a_{ell,ell-m} for m = 0..m_max] via the power-series recurrence.
 
-    The recurrence reads jhat^k only at exponents <= k - ell + m_max, a
-    triangle: each power is raised straight from jhat cut to the precision
-    that is read, so powers below precision 2 are never built.  Rows are
+    The recurrence reads jhat^k only below q^(k - k0 + 2), where
+    k0 = ell - m_max + 1: a triangle, built as an upward product chain.
+    jhat^k0 is raised by ``**`` to its 2 coefficients.  Each next jhat^k
+    takes every coefficient but its last as one dot product of jhat^(k-1)
+    with jhat, and the last from one step of Miller's recurrence, whose
+    division is checked; so a power costs one big-int product per
+    coefficient.  The row sum indexes the powers as plain tuples, so a
+    power built one coefficient short raises IndexError.  Rows are
     memoized per (ell, j-prefix).
     """
     if m_max is None:
@@ -112,12 +121,20 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     if cached is not None and len(cached) > m_max:
         return list(cached[: m_max + 1])
 
-    powers = {
-        k: j.hat_series(k - ell + m_max + 1) ** k for k in range(ell - m_max + 1, ell + 1)
-    }
+    f = j.hat_series(m_max + 1).coeffs
+    k0 = ell - m_max + 1
+    powers = []  # jhat^k0, jhat^(k0+1), ..., jhat^ell
+    if m_max:
+        powers.append((j.hat_series(2) ** k0).coeffs)
+    for k in range(k0 + 1, ell + 1):
+        prev = powers[-1]
+        power = [sum(map(mul, f, prev[d::-1])) for d in range(len(prev))]
+        power.append(_miller_next(f, power, k))
+        powers.append(tuple(power))
+    powers.reverse()  # powers[n] is jhat^(ell-n)
     row = [-1]
     for m in range(1, m_max + 1):
-        row.append(-sum(row[n] * powers[ell - n].coefficient(m - n) for n in range(m)))
+        row.append(-sum(row[n] * powers[n][m - n] for n in range(m)))
     if m_max == ell:
         row[ell] -= (ell + 1) * j[0]
     _ROW_CACHE[key] = list(row)

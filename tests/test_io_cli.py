@@ -483,7 +483,11 @@ def test_cli_check_fatal_exit_code(tmp_path, capsys, monkeypatch):
         "where a_{5,4} is 7, not %d\n" % PHI5_FACTORED[(4, 5)],
     )
     # A real Phi_5 holds the proved bounds, so exit 3 is reached only through
-    # a row source that agrees with the altered file.
+    # a row source that agrees with the altered file.  3720 + 5 keeps
+    # Kronecker's congruence (0 mod 5) but is odd, so prop22 fails.
+    entries[(4, 5)] = 3720 + 5
+    altered = ModularPolynomial(5, entries)
+    path.write_text(emit_sutherland_text(altered))
     monkeypatch.setattr(io_cli, "hypergeometric_row", lambda ell: altered.top_row())
     code, out, _ = run_cli(capsys, "check", "--ell", "5", "--file", str(path))
     assert code == 3
@@ -493,7 +497,9 @@ def test_cli_check_fatal_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_cli_check_counterexample_exit_code(tmp_path, capsys):
     entries = dict(PHI5_FACTORED)
-    entries[(0, 0)] = 7  # corner bound ord_2 >= 90 now fails, row checks untouched
+    # corner bound ord_2 >= 90 now fails, row checks untouched; 5 is 0 mod 5,
+    # so the table still passes Kronecker's congruence
+    entries[(0, 0)] = 5
     path = tmp_path / "phi5.txt"
     path.write_text(emit_sutherland_text(ModularPolynomial(5, entries)))
     code, out, _ = run_cli(
@@ -525,17 +531,46 @@ def test_cli_check_file_notes_absent_pairs(tmp_path, capsys):
     argv = ("check", "--ell", "7", "--set", "prop22,prop23,conj25,conj12", "--file")
     code, full_out, err = run_cli(capsys, *argv, str(full))
     assert (code, err) == (0, "")
+    assert full_out.endswith("result: OK\n")
     # The first 20 lines hold the boundary entry and 19 of the 36 pairs.  The
-    # 17 absent pairs read as 0, which passes every bound, so the report is
-    # unchanged and only the note on stderr tells the truncation apart.
+    # 17 absent pairs read as 0, which passes every bound, but a_{1,1} = 0 is
+    # not -1 mod 7, so Kronecker's congruence refuses the table after the note.
     truncated = tmp_path / "phi7_head.txt"
     truncated.write_text("\n".join(text.splitlines()[:20]) + "\n")
     assert run_cli(capsys, *argv, str(truncated)) == (
-        0,
-        full_out,
-        "note: 17 of 36 coefficient pairs are absent from the file and read as 0\n",
+        2,
+        "",
+        "note: 17 of 36 coefficient pairs are absent from the file and read as 0\n"
+        "error: the file is not Phi_7: a_{1,1} is 0 mod 7, but Kronecker's "
+        "congruence requires 6\n",
     )
-    assert full_out.endswith("result: OK\n")
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_cli_check_file_solver_tables_pass_kronecker(tmp_path, capsys, ell):
+    path = tmp_path / "phi.txt"
+    poly = solve_full_polynomial(ell, j_coefficients(ell * ell + ell + 2))
+    path.write_text(emit_sutherland_text(poly))
+    code, out, err = run_cli(capsys, "check", "--ell", str(ell), "--file", str(path),
+                             "--set", "prop23,conj12")
+    assert (code, err) == (0, "")
+    assert out.endswith("result: OK\n")
+
+
+@pytest.mark.parametrize("change", [2**40 * 3**20, 2**60 * 3**40 * 5**12])
+def test_cli_check_file_refuses_kronecker_violation(tmp_path, capsys, change):
+    # Off the top row, so the row comparison passes; without the congruence
+    # the first change read as a counterexample to conj12 (exit 4) and the
+    # second passed every bound (exit 0).
+    entries = {(m, n): v for m, n, v in solve_full_polynomial(7, j_coefficients(58)).items()}
+    entries[(3, 1)] += change
+    path = tmp_path / "phi7.txt"
+    path.write_text(emit_sutherland_text(ModularPolynomial(7, entries)))
+    assert run_cli(capsys, "check", "--ell", "7", "--set", "prop22,prop23,conj25,conj12",
+                   "--file", str(path)) == (
+        2, "", "error: the file is not Phi_7: a_{3,1} is %d mod 7, but Kronecker's "
+        "congruence requires 0\n" % (change % 7),
+    )
 
 
 def test_cli_crosscheck(capsys):

@@ -15,6 +15,7 @@ from modpoly import (
     j_coefficients,
     ord_p,
 )
+from modpoly.jfun import e8_series
 
 # c_0 .. c_6, frozen reference values
 JCOEFFS = (744, 196884, 21493760, 864299970, 20245856256, 333202640600, 4252023300096)
@@ -70,6 +71,23 @@ def test_e4_small_coefficients():
     assert e.coefficient(1) == 240
     assert e.coefficient(2) == 2160  # 240 * (1 + 8)
     assert e.coefficient(3) == 6720  # 240 * (1 + 27)
+
+
+def test_e8_small_coefficients():
+    e = e8_series(3)
+    assert (e.coefficient(0), e.coefficient(1), e.coefficient(2)) == (1, 480, 480 * (1 + 2**7))
+
+
+@pytest.mark.parametrize("precision", [1, 2, 50, 300])
+def test_e8_is_e4_squared(precision):
+    # the weight-8 forms are one-dimensional
+    assert e4_series(precision) ** 2 == e8_series(precision)
+
+
+def test_e4_cubed_is_e4_times_e8():
+    # the product j_coefficients takes, against the power kernel's E4^3
+    e4 = e4_series(300)
+    assert e4 ** 3 == e4 * e8_series(300)
 
 
 def test_j_coefficients_known_values():

@@ -17,6 +17,7 @@ from modpoly import (
     coeff_recurrence,
     d_weight,
     full_multinomial,
+    hypergeometric_row,
     j_coefficients,
     partitions,
     polynomial_residual,
@@ -97,14 +98,51 @@ def test_recurrence_agrees_with_closed_form(ell):
     assert recurrence_row(ell, J) == closed_row(ell, J)
 
 
-@pytest.mark.parametrize("ell", [3, 5, 31, 97])
+@pytest.mark.parametrize("ell", [2, 3, 5, 31, 97])
 def test_recurrence_row_triangle_boundary(ell):
     # the shortest table allowed and an empty memo, so a power built one
-    # coefficient short raises PrecisionError instead of being masked
-    for m_max in sorted({0, 1, ell // 2, ell - 1, ell}):
+    # coefficient short raises instead of being masked; m_max = 2 is the
+    # shortest chain with a product step
+    for m_max in sorted({0, 1, 2, ell // 2, ell - 1, ell}):
         recurrence._ROW_CACHE.clear()
         j = j_coefficients(max(m_max, 1))
         assert recurrence_row(ell, j, m_max) == closed_row(ell, j, m_max), m_max
+
+
+@pytest.mark.parametrize("ell, m_max", [(2, 2), (5, 5), (31, 9), (31, 31), (97, 40)])
+def test_recurrence_chain_powers_match_pow(monkeypatch, ell, m_max):
+    # every power the product chain builds equals jhat^k from the power kernel;
+    # a spy on the chain's closing Miller step sees each one complete
+    built = {}
+    real = recurrence._miller_next
+
+    def spy(f, g, alpha):
+        value = real(f, g, alpha)
+        built[alpha] = tuple(g) + (value,)
+        return value
+
+    monkeypatch.setattr(recurrence, "_miller_next", spy)
+    recurrence._ROW_CACHE.clear()
+    recurrence_row(ell, J, m_max)
+    k0 = ell - m_max + 1
+    assert sorted(built) == list(range(k0 + 1, ell + 1))
+    for k, coeffs in built.items():
+        assert coeffs == (J.hat_series(k - k0 + 2) ** k).coeffs, k
+
+
+def test_recurrence_row_matches_hypergeometric_at_199():
+    recurrence._ROW_CACHE.clear()
+    assert recurrence_row(199, j_coefficients(199)) == hypergeometric_row(199)
+
+
+def test_recurrence_row_checks_the_miller_step(monkeypatch):
+    # a chain step with its exponent off by one leaves a remainder that the
+    # step's divmod guard turns into ArithmeticError
+    real = recurrence._miller_next
+    monkeypatch.setattr(recurrence, "_miller_next", lambda f, g, alpha: real(f, g, alpha + 1))
+    recurrence._ROW_CACHE.clear()
+    with pytest.raises(ArithmeticError, match="is not an integer"):
+        recurrence_row(31, J)
 
 
 def test_recurrence_row_prefix():
