@@ -23,14 +23,18 @@ makes them usable as cross-checks:
 
 3. a full solver that determines every a_{m,n} at once from the defining
    identity Phi_ell(j(ell z), j(z)) = 0, by exact elimination on the
-   principal part of the q-expansion.
+   principal part of the q-expansion.  It evaluates Phi_ell row by row,
+   as the sum of j(ell z)^m * Q_m(j(z)) with Q_m(Y) = sum_n a_{m,n} Y^n,
+   in plain coefficient lists; polynomial_residual checks a table by
+   the same evaluation.  Only the powers j(z)^k are multiplied out, by
+   IntSeries products, and they are the one O(ell^5) stage.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .closedform import CoeffRequest
 from .comb import full_multinomial, is_prime
@@ -208,15 +212,15 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
 
 
 # Largest level the CLI hands to the full solver (check --set conj12
-# without --file, and crosscheck's third oracle).  ell=17 solves in 0.5 s
+# without --file, and crosscheck's third oracle).  ell=17 solves in 0.3 s
 # (2-CPU x86-64, Python 3.11), but a higher cap adds "solver" to
 # crosscheck's OK line at ell=17, so it is a spec change and stays 13.
 SOLVER_FEASIBLE_MAX = 13
 
-# Largest level the CLI's poly command solves.  The solve takes 0.6 s at
-# ell=17, 1.1 s at ell=19 and 3.1 s at ell=23 (2-CPU x86-64, Python 3.11),
-# about ell^5.5, so ell=97 would run for hours; the cap keeps every run
-# within seconds.
+# Largest level the CLI's poly command solves.  The solve takes 0.3 s at
+# ell=17, 0.4 s at ell=19 and 1.4 s at ell=23 (2-CPU x86-64, Python 3.11),
+# about ell^5.3, so ell=97 would run for most of an hour (extrapolated);
+# the cap keeps every run within seconds.
 POLY_FEASIBLE_MAX = 23
 
 
@@ -225,65 +229,91 @@ def solver_precision(ell: int) -> int:
     return ell * ell + ell + 2
 
 
-def _power_tables(ell: int, j: JTable):
-    """T[k] = j(z)^k by products and S[k] = j(ell z)^k by spreading, k <= ell+1.
+def _axpy(dst: list, offset: int, c: int, src) -> None:
+    """dst[offset + i] += c * src[i], for every i that dst reaches."""
+    end = offset + len(src)
+    dst[offset:end] = map(add, dst[offset:end], map(c.__mul__, src))
 
-    S[k] is T[k] with each exponent times ell, kept below q^(ell*tail) for
-    tail = j.count - ell^2 - ell + 1, the precision of S[ell]*T[ell]: every
-    residual holds that pair (a_{ell,ell} = -1), so nothing past it is read.
+
+def _spread_dot(t, y, k: int, ell: int) -> int:
+    """sum_i t[i] * y[k - ell*i]: one coefficient of t spread by ell times y.
+
+    k is the index of y paired with t[0]; it must be below len(y).
+    """
+    return sum(map(mul, t, y[k::-ell])) if k >= 0 else 0
+
+
+def _expand(ell: int, j: JTable, coefficient) -> IntSeries:
+    """Phi_ell(j(ell z), j(z)) below q^tail, taking a_{m,n} = coefficient(m, n, c).
+
+    With X = j(ell z) and Y = j(z), Phi_ell is X^(ell+1) + Y^(ell+1) plus
+    the sum over rows m of X^m Q_m(Y), Q_m(Y) = sum_n a_{m,n} Y^n.  T[k]
+    holds j(z)^k from q^-k on, built by products to the j table's
+    precision; X^m is T[m] with each exponent times ell, never formed.
+    tail = j.count - ell^2 - ell + 1 is the precision of X^ell Y^ell,
+    which every table holds (a_{ell,ell} = -1), so nothing past it is
+    read: Y^(ell+1) is built only below q^tail, and each Q_m only below
+    q^(tail + ell*m).  acc holds [q^e] at acc[e + ell(ell+1)].
+
+    Pairs are visited in decreasing pole order, ell*m + n for
+    0 <= n <= m <= ell.  Each a_{m,n} joins Q_m and, for n != m, Q_n;
+    once row m is complete, X^m Q_m is folded into acc.  c is the
+    expansion's coefficient at the pair's pivot exponent e = -(ell*m + n)
+    with every pair visited so far: acc's plus [q^e] of X^m Q_m and
+    X^(m-1) Q_(m-1), since lower rows start above q^e.  The pivot, the
+    pair's own coefficient at q^e, is read from T and must be 1.
     """
     j.require(solver_precision(ell))
     tail = j.count - ell * ell - ell + 1
-    t1 = j.series()
-    T = [IntSeries.one(j.count), t1]
-    for _ in range(ell):
-        T.append(T[-1] * t1)
-    S = []
-    for t in T:
-        block = [0] * (ell * (tail - t.base_exponent))
-        block[::ell] = t.coeffs[: tail - t.base_exponent]
-        S.append(IntSeries(ell * t.base_exponent, block))
-    return S, T
-
-
-def _pair_basis(S, T, m: int, n: int) -> IntSeries:
-    if m == n:
-        return S[m] * T[m]
-    return S[m] * T[n] + S[n] * T[m]
+    T = [IntSeries.one(j.count), j.series()]
+    for _ in range(ell - 1):
+        T.append(T[-1] * T[1])
+    T.append(IntSeries(-1, j.values, tail + ell) * T[-1])
+    T = [t.coeffs for t in T]
+    top = ell * (ell + 1)
+    acc = [0] * (top + tail)
+    acc[::ell] = T[ell + 1][: len(acc[::ell])]
+    _axpy(acc, ell * ell - 1, 1, T[ell + 1])
+    Q = [[0] * (tail + ell * (m + 1)) for m in range(ell + 1)]  # Q_m from q^-ell
+    for m in range(ell, -1, -1):
+        for n in range(m, -1, -1):
+            e = -(ell * m + n)
+            pivot = sum(_spread_dot(T[r], T[m + n - r], (ell - 1) * (r - m), ell) for r in {m, n})
+            if pivot != 1:
+                raise InconsistentSystemError("pivot at pair (%d, %d) is %d, not 1" % (m, n, pivot))
+            rows = range(max(m - 1, 0), m + 1)
+            c = acc[top + e] + sum(_spread_dot(T[r], Q[r], e + ell * (r + 1), ell) for r in rows)
+            a = coefficient(m, n, c)
+            _axpy(Q[m], ell - n, a, T[n])
+            if n != m:
+                _axpy(Q[n], ell - m, a, T[m])
+        for offset, x in zip(range(ell * (ell - m), top + tail, ell), T[m]):
+            _axpy(acc, offset, x, Q[m])
+        Q[m] = None
+    return IntSeries(-top, acc, tail)
 
 
 def solve_full_polynomial(ell: int, j: JTable) -> ModularPolynomial:
     """Determine every a_{m,n} from the vanishing of Phi_ell(j(ell z), j(z)).
 
     Substituting the q-expansions turns the defining identity into a
-    triangular linear system: the basis element for the pair (m, n) has
-    pole order ell*m + n, those orders are pairwise distinct over
-    0 <= n <= m <= ell, and each pivot coefficient is 1.  Unknowns are
-    eliminated in decreasing pole order.  Each basis starts at its own
-    pivot, so no later step touches a lower exponent, and one check after
-    the last unknown covers every exponent: the whole remaining expansion,
-    including exponents that correspond to no pair, must vanish up to the
-    working precision.  Raises InconsistentSystemError otherwise, naming
-    the lowest surviving exponent, and PrecisionError when the table is
-    shorter than ell^2 + ell + 2 coefficients.
+    triangular linear system: the basis element for the pair (m, n),
+    X^m Y^n + X^n Y^m at X = j(ell z), Y = j(z), has pole order
+    ell*m + n, those orders are pairwise distinct over 0 <= n <= m <= ell,
+    and each pivot coefficient is 1.  Unknowns are eliminated in
+    decreasing pole order, row by row (see _expand): a_{m,n} is minus the
+    expansion's coefficient at q^-(ell*m + n) with every earlier pair
+    solved.  No later pair reaches a lower exponent, so one check after
+    the last unknown covers every exponent: the whole expansion,
+    including exponents that correspond to no pair, must vanish up to
+    the working precision.  Raises InconsistentSystemError otherwise,
+    naming the lowest surviving exponent, and PrecisionError when the
+    table is shorter than ell^2 + ell + 2 coefficients.
     """
     if not is_prime(ell):
         raise ValueError("ell must be prime, got %r" % (ell,))
-    S, T = _power_tables(ell, j)
-    residual = S[ell + 1] + T[ell + 1]
     entries = {}
-    for m in range(ell, -1, -1):
-        for n in range(m, -1, -1):
-            e = -(ell * m + n)
-            basis = _pair_basis(S, T, m, n)
-            if basis.coefficient(e) != 1:
-                raise InconsistentSystemError(
-                    "pivot at pair (%d, %d) is %d, not 1" % (m, n, basis.coefficient(e))
-                )
-            a = -residual.coefficient(e)
-            entries[(m, n)] = a
-            if a:
-                residual = residual + basis * a
+    residual = _expand(ell, j, lambda m, n, c: entries.setdefault((m, n), -c))
     if not residual.is_zero():
         raise InconsistentSystemError(
             "residual %d survives at q^%d after eliminating all pairs"
@@ -295,13 +325,8 @@ def solve_full_polynomial(ell: int, j: JTable) -> ModularPolynomial:
 def polynomial_residual(poly: ModularPolynomial, j: JTable) -> IntSeries:
     """q-expansion of Phi_ell(j(ell z), j(z)) for a given coefficient table.
 
-    Identically zero, to the table's precision, exactly when poly really
-    is the level-ell modular polynomial; PrecisionError below ell^2+ell+2.
+    Evaluated row by row as in the solver (see _expand).  Identically
+    zero, to the table's precision, exactly when poly really is the
+    level-ell modular polynomial; PrecisionError below ell^2+ell+2.
     """
-    ell = poly.ell
-    S, T = _power_tables(ell, j)
-    residual = S[ell + 1] + T[ell + 1]
-    for m, n, a in poly.items():
-        if a:
-            residual = residual + _pair_basis(S, T, m, n) * a
-    return residual
+    return _expand(poly.ell, j, lambda m, n, c: poly.get(m, n))

@@ -280,6 +280,101 @@ def test_verify_d_recurrence_sweep():
 # --- full-polynomial solver -------------------------------------------------
 
 
+# The pair-basis formulation the solver had before it worked row by row:
+# IntSeries arithmetic throughout, j(ell z)^k spread from j(z)^k, and one
+# basis S[m]*T[n] + S[n]*T[m] per pair.  Kept as the oracle that the
+# row-by-row expansion must match exactly.
+
+
+def pair_basis_tables(ell, j):
+    tail = j.count - ell * ell - ell + 1
+    T = [IntSeries.one(j.count), j.series()]
+    for _ in range(ell):
+        T.append(T[-1] * T[1])
+    S = []
+    for t in T:
+        block = [0] * (ell * (tail - t.base_exponent))
+        block[::ell] = t.coeffs[: tail - t.base_exponent]
+        S.append(IntSeries(ell * t.base_exponent, block))
+
+    def basis(m, n):
+        return S[m] * T[m] if m == n else S[m] * T[n] + S[n] * T[m]
+
+    return S[ell + 1] + T[ell + 1], basis
+
+
+def pair_basis_residual(poly, j):
+    residual, basis = pair_basis_tables(poly.ell, j)
+    for m, n, a in poly.items():
+        if a:
+            residual = residual + basis(m, n) * a
+    return residual
+
+
+def pair_basis_solve(ell, j):
+    residual, basis = pair_basis_tables(ell, j)
+    entries = {}
+    for m in range(ell, -1, -1):
+        for n in range(m, -1, -1):
+            e = -(ell * m + n)
+            b = basis(m, n)
+            assert b.coefficient(e) == 1, (m, n)
+            entries[(m, n)] = a = -residual.coefficient(e)
+            residual = residual + b * a
+    if not residual.is_zero():
+        raise InconsistentSystemError(
+            "residual %d survives at q^%d after eliminating all pairs"
+            % (residual.coeffs[0], residual.base_exponent)
+        )
+    return ModularPolynomial(ell, entries)
+
+
+# Longer tables give tail > 3, where j(ell z)^m has more terms below q^tail.
+@pytest.mark.parametrize(
+    "ell,count",
+    [(2, 8), (3, 14), (5, 32), (5, 60), (7, 58), (7, 120), (11, 134), (11, 200), (13, 184)],
+)
+def test_solver_and_residual_match_pair_basis_oracle(ell, count):
+    j = j_coefficients(count)
+    poly = solve_full_polynomial(ell, j)
+    assert poly == pair_basis_solve(ell, j)
+    entries = {(m, n): v for m, n, v in poly.items()}
+    tables = [poly, ModularPolynomial(ell, {**entries, (1, 0): entries[(1, 0)] + 1})]
+    if ell >= 3:
+        changed = entries[(3, 1)] + 7 * 2**40 * 3**20
+        tables.append(ModularPolynomial(ell, {**entries, (3, 1): changed}))
+    for k, table in enumerate(tables):
+        residual = polynomial_residual(table, j)
+        want = pair_basis_residual(table, j)
+        assert (residual.base_exponent, residual.coeffs, residual.precision) == (
+            want.base_exponent,
+            want.coeffs,
+            want.precision,
+        )
+        assert residual.is_zero() == (k == 0)
+
+
+@pytest.mark.parametrize("ell,count,value,exponent", [(2, 8, -2, 2), (5, 60, -5, 30), (7, 120, -7, 64)])
+def test_solver_names_lowest_surviving_residual(ell, count, value, exponent):
+    values = list(j_coefficients(count).values)
+    values[-1] += 1  # c_{count-1}, read only by the tail check
+    j = JTable(tuple(values))
+    message = r"^residual %d survives at q\^%d after eliminating all pairs$" % (value, exponent)
+    with pytest.raises(InconsistentSystemError, match=message):
+        solve_full_polynomial(ell, j)
+    with pytest.raises(InconsistentSystemError, match=message):
+        pair_basis_solve(ell, j)
+
+
+def test_solver_reads_its_pivots_from_the_tables():
+    # JTable refuses c_{-1} != 1, so build one past its check: every
+    # power of j then leads with 2^k, and the first pivot is 2^2 * 2^2.
+    j = object.__new__(JTable)
+    object.__setattr__(j, "values", (2,) + j_coefficients(8).values[1:])
+    with pytest.raises(InconsistentSystemError, match=r"^pivot at pair \(2, 2\) is 16, not 1$"):
+        solve_full_polynomial(2, j)
+
+
 def test_solver_level_two_classical():
     poly = solve_full_polynomial(2, j_coefficients(8))
     assert {(m, n): v for m, n, v in poly.items()} == PHI2_KNOWN
