@@ -12,7 +12,9 @@ Arithmetic tracks precision pessimistically:
 * add: result precision is the minimum of the operand precisions;
 * mul: result precision is min(a.precision + b.base_exponent,
   b.precision + a.base_exponent), the first exponent at which an unknown
-  coefficient of either factor could contribute;
+  coefficient of either factor could contribute; each result coefficient
+  is one dot product of a block of one factor with the reversed block of
+  the other;
 * pow: series ** n has base n * base_exponent and keeps the input's
   relative precision, precision - base_exponent, as n - 1 products would;
 * invert: requires a unit leading coefficient (+1 or -1) so the inverse
@@ -155,16 +157,11 @@ class IntSeries:
             self.precision + other.base_exponent,
             other.precision + self.base_exponent,
         )
-        out = [0] * (prec - base)
-        n = len(out)
-        bco = other.coeffs
-        for i, a in enumerate(self.coeffs):
-            if a:
-                top = min(len(bco), n - i)
-                for j in range(top):
-                    b = bco[j]
-                    if b:
-                        out[i + j] += a * b
+        a, b = self.coeffs, other.coeffs
+        # a block runs from base to precision, so prec - base is
+        # min(len(a), len(b)) and [q^(base+d)] pairs every a[i], i <= d,
+        # with b[d-i]
+        out = [sum(map(mul, a[: d + 1], b[d::-1])) for d in range(prec - base)]
         return IntSeries(base, out, prec)
 
     __rmul__ = __mul__

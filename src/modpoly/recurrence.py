@@ -27,11 +27,16 @@ makes them usable as cross-checks:
    as the sum of j(ell z)^m * Q_m(j(z)) with Q_m(Y) = sum_n a_{m,n} Y^n,
    in plain coefficient lists; polynomial_residual checks a table by
    the same evaluation.  Only the powers j(z)^k are multiplied out, by
-   IntSeries products, and they are the one O(ell^5) stage.
+   IntSeries products, and they are the one O(ell^5) stage.  They are
+   built once per (ell, j table) and shared: a solve and a later residual
+   check on an equal j table read the same tuple of powers.  The last
+   table built is held for the life of the process (0.6 MB at ell = 17,
+   2 MB at ell = 23), and building another replaces it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -212,13 +217,13 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
 
 
 # Largest level the CLI hands to the full solver (check --set conj12
-# without --file, and crosscheck's third oracle).  ell=17 solves in 0.3 s
+# without --file, and crosscheck's third oracle).  ell=17 solves in 0.2 s
 # (2-CPU x86-64, Python 3.11), but a higher cap adds "solver" to
 # crosscheck's OK line at ell=17, so it is a spec change and stays 13.
 SOLVER_FEASIBLE_MAX = 13
 
-# Largest level the CLI's poly command solves.  The solve takes 0.3 s at
-# ell=17, 0.4 s at ell=19 and 1.4 s at ell=23 (2-CPU x86-64, Python 3.11),
+# Largest level the CLI's poly command solves.  The solve takes 0.2 s at
+# ell=17, 0.45 s at ell=19 and 1.4 s at ell=23 (2-CPU x86-64, Python 3.11),
 # about ell^5.3, so ell=97 would run for most of an hour (extrapolated);
 # the cap keeps every run within seconds.
 POLY_FEASIBLE_MAX = 23
@@ -243,13 +248,32 @@ def _spread_dot(t, y, k: int, ell: int) -> int:
     return sum(map(mul, t, y[k::-ell])) if k >= 0 else 0
 
 
+@functools.lru_cache(maxsize=1)
+def _power_table(ell: int, j: JTable) -> tuple:
+    """(j(z)^0, ..., j(z)^(ell+1)) as coefficient tuples, j(z)^k from q^-k on.
+
+    An upward chain of IntSeries products, to the j table's precision,
+    except j(z)^(ell+1), which _expand reads only below q^tail and which
+    is built only that far.  JTable hashes and compares by its values, so
+    equal tables share one entry; the cache holds the last (ell, j) only.
+    The caller checks j's length first.
+    """
+    tail = j.count - ell * ell - ell + 1
+    T = [IntSeries.one(j.count), j.series()]
+    for _ in range(ell - 1):
+        T.append(T[-1] * T[1])
+    T.append(IntSeries(-1, j.values, tail + ell) * T[-1])
+    return tuple(t.coeffs for t in T)
+
+
 def _expand(ell: int, j: JTable, coefficient) -> IntSeries:
     """Phi_ell(j(ell z), j(z)) below q^tail, taking a_{m,n} = coefficient(m, n, c).
 
     With X = j(ell z) and Y = j(z), Phi_ell is X^(ell+1) + Y^(ell+1) plus
     the sum over rows m of X^m Q_m(Y), Q_m(Y) = sum_n a_{m,n} Y^n.  T[k]
-    holds j(z)^k from q^-k on, built by products to the j table's
-    precision; X^m is T[m] with each exponent times ell, never formed.
+    holds j(z)^k from q^-k on, from _power_table: built once per
+    (ell, j table), shared by every expansion on an equal table, and only
+    read here.  X^m is T[m] with each exponent times ell, never formed.
     tail = j.count - ell^2 - ell + 1 is the precision of X^ell Y^ell,
     which every table holds (a_{ell,ell} = -1), so nothing past it is
     read: Y^(ell+1) is built only below q^tail, and each Q_m only below
@@ -265,11 +289,7 @@ def _expand(ell: int, j: JTable, coefficient) -> IntSeries:
     """
     j.require(solver_precision(ell))
     tail = j.count - ell * ell - ell + 1
-    T = [IntSeries.one(j.count), j.series()]
-    for _ in range(ell - 1):
-        T.append(T[-1] * T[1])
-    T.append(IntSeries(-1, j.values, tail + ell) * T[-1])
-    T = [t.coeffs for t in T]
+    T = _power_table(ell, j)
     top = ell * (ell + 1)
     acc = [0] * (top + tail)
     acc[::ell] = T[ell + 1][: len(acc[::ell])]

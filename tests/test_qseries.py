@@ -24,6 +24,39 @@ def series_strategy(min_base=-3, max_base=3, max_len=6, unit_leading=False):
     )
 
 
+def schoolbook_mul(x: IntSeries, y) -> IntSeries:
+    """x * y by the double loop IntSeries.__mul__ ran before its dot products."""
+    if isinstance(y, int):
+        return IntSeries(x.base_exponent, tuple(c * y for c in x.coeffs), x.precision)
+    base = x.base_exponent + y.base_exponent
+    prec = min(x.precision + y.base_exponent, y.precision + x.base_exponent)
+    out = [0] * (prec - base)
+    n = len(out)
+    bco = y.coeffs
+    for i, a in enumerate(x.coeffs):
+        if a:
+            top = min(len(bco), n - i)
+            for j in range(top):
+                b = bco[j]
+                if b:
+                    out[i + j] += a * b
+    return IntSeries(base, out, prec)
+
+
+# Mostly-zero blocks of unequal lengths, negative bases, big coefficients
+# and precisions cut below the block (down to below the base), plus the
+# zero series.
+sparse_series = st.one_of(
+    st.builds(
+        lambda base, coeffs, pad: IntSeries(base, coeffs, base + len(coeffs) + pad),
+        st.integers(-6, 4),
+        st.lists(st.one_of(st.just(0), st.integers(-(2**70), 2**70)), max_size=14),
+        st.integers(-3, 5),
+    ),
+    st.builds(IntSeries.zero, st.integers(-6, 8)),
+)
+
+
 def agree_below(a: IntSeries, b: IntSeries) -> bool:
     prec = min(a.precision, b.precision)
     return truncated(a, prec) == truncated(b, prec)
@@ -140,6 +173,17 @@ class TestMul:
         assert (s * -1) == -s
         assert (s * 0).is_zero()
         assert (s * 0).precision == s.precision
+
+
+    @given(sparse_series, st.one_of(sparse_series, st.integers(-(2**40), 2**40)))
+    def test_mul_matches_schoolbook_oracle(self, a, b):
+        want = schoolbook_mul(a, b)
+        for got in (a * b, b * a):
+            assert (got.base_exponent, got.coeffs, got.precision) == (
+                want.base_exponent,
+                want.coeffs,
+                want.precision,
+            )
 
 
 class TestPow:

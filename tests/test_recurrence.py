@@ -27,6 +27,7 @@ from modpoly import (
     verify_d_recurrence,
 )
 from modpoly import recurrence
+from modpoly.recurrence import solver_precision
 
 J = j_coefficients(60)
 
@@ -352,6 +353,87 @@ def test_solver_and_residual_match_pair_basis_oracle(ell, count):
             want.precision,
         )
         assert residual.is_zero() == (k == 0)
+
+
+# --- the shared power table ------------------------------------------------
+
+
+def count_products(monkeypatch):
+    """A list that gains one entry per IntSeries product from now on."""
+    calls = []
+    real = IntSeries.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(IntSeries, "__mul__", spy)
+    return calls
+
+
+def test_residual_reuses_the_solvers_power_table(monkeypatch):
+    # a residual check on a table equal to the solve's, though built
+    # separately, reads the solve's powers and multiplies no series
+    recurrence._power_table.cache_clear()
+    ell = 11
+    j, same = j_coefficients(solver_precision(ell)), j_coefficients(solver_precision(ell))
+    products = count_products(monkeypatch)
+    poly = solve_full_polynomial(ell, j)
+    assert len(products) == ell  # j^2 .. j^ell by the chain, then j^(ell+1)
+    del products[:]
+    assert polynomial_residual(poly, same).is_zero()
+    assert products == []
+    assert recurrence._power_table.cache_info().currsize == 1
+
+
+def test_power_table_rebuilds_for_another_level_or_table(monkeypatch):
+    recurrence._power_table.cache_clear()
+    products = count_products(monkeypatch)
+    # (ell, count, products built): a repeat is free, anything else rebuilds,
+    # and the one entry held is the last table built
+    steps = [(5, 32, 5), (5, 32, 0), (7, 58, 7), (5, 32, 5), (5, 60, 5), (5, 60, 0), (2, 60, 2)]
+    for ell, count, built in steps:
+        del products[:]
+        solve_full_polynomial(ell, j_coefficients(count))
+        assert len(products) == built, (ell, count)
+        assert recurrence._power_table.cache_info().currsize == 1
+
+
+def test_power_table_is_keyed_by_the_j_values(monkeypatch):
+    # a table of the same length with c_3 changed rebuilds, and fails
+    recurrence._power_table.cache_clear()
+    j = j_coefficients(8)
+    solve_full_polynomial(2, j)
+    values = list(j.values)
+    values[4] += 1
+    products = count_products(monkeypatch)
+    with pytest.raises(InconsistentSystemError):
+        solve_full_polynomial(2, JTable(tuple(values)))
+    assert len(products) == 2
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11])
+def test_shared_power_table_shares_no_verdict(ell):
+    # right after a solve has cached its powers, changed tables still give
+    # the pair-basis oracle's nonzero residual, and the solved one still 0
+    recurrence._power_table.cache_clear()
+    j = j_coefficients(solver_precision(ell))
+    poly = solve_full_polynomial(ell, j)
+    entries = {(m, n): v for m, n, v in poly.items()}
+    changes = [((1, 0), 1), ((3, 1), 7 * 2**40 * 3**20)]
+    for key, delta in changes:
+        table = ModularPolynomial(ell, {**entries, key: entries[key] + delta})
+        residual = polynomial_residual(table, j)
+        want = pair_basis_residual(table, j)
+        assert (residual.base_exponent, residual.coeffs, residual.precision) == (
+            want.base_exponent,
+            want.coeffs,
+            want.precision,
+        )
+        assert not residual.is_zero(), key
+    assert polynomial_residual(poly, j).is_zero()
+    info = recurrence._power_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 @pytest.mark.parametrize("ell,count,value,exponent", [(2, 8, -2, 2), (5, 60, -5, 30), (7, 120, -7, 64)])
