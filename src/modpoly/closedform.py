@@ -13,10 +13,11 @@ j-invariant coefficients c_i: for 0 < m < ell,
             * prod c_{r_i - 1}^{t_i},          u = sum t_i - 1,
 
 and for m = ell the same sum applies with the binomial factor equal to 1,
-plus an extra -(ell+1) * c_0.  The rational weight in front of each
-monomial is provably an integer; term_weight computes it exactly and
-raises IntegralityError if that ever fails, since a non-integer weight
-means the inputs are outside the valid domain or the arithmetic is wrong.
+plus an extra -(ell+1) * c_0.  Each term's rational weight is provably an
+integer.  term_weight computes it for one term; coeff_closed walks the
+partition tree at one checked division and two products per term.  Both
+raise IntegralityError on a remainder: a non-integer weight means the
+inputs are outside the valid domain or the arithmetic is wrong.
 
 The sum has p(m) terms.  Grouping it by the number of parts k = u + 1
 makes it polynomial in m: u!/prod t_i! = (1/k) * k!/prod t_i!, and the
@@ -30,9 +31,8 @@ is [q^m] J^k with J = sum_{r>=1} c_{r-1} q^r.  Hence
 partition terms, so the division by k is exact; closed_row checks it on
 every term and raises IntegralityError otherwise.
 
-closed_row evaluates the grouped form.  coeff_closed and term_weight
-evaluate the partition sum term by term, with no series code at all, and
-serve as the oracle that tests and crosscheck compare closed_row against.
+closed_row evaluates the grouped form.  coeff_closed, with no series code
+at all, is the oracle that tests and crosscheck compare closed_row against.
 
 hypergeometric_row reaches the same row with no j table, and is the row
 the CLI serves.  Summing the grouped form over k gives, for 0 < m < ell,
@@ -45,11 +45,10 @@ with t = 1/j and q written as a series in t.  Ramanujan's
 q dj/dq = -j E6/E4 gives t q'(t)/q = r := E4/E6, and since E4 = F(1728t)^4
 and E6 = E4^(3/2) (1-1728t)^(1/2) with F = 2F1(1/12, 5/12; 1; .) (Stiller,
 "Classical automorphic forms and hypergeometric functions", J. Number
-Theory 28, 1988),
-
-    r = (1 - 1728t)^(-1/2) * F(1728t)^(-2),
-
-a series with integer coefficients.  y = (t/q)^ell then satisfies
+Theory 28, 1988), r * F(1728t)^2 = (1 - 1728t)^(-1/2).  By Clausen's
+formula F(1728t)^2 = 3F2(1/6, 1/2, 5/6; 1, 1; 1728t) = sum B_k t^k with
+the integers B_k = (6k)! / ((3k)! k!^3), so each r_d = C(2d,d) 432^d -
+sum_{k=1..d} B_k r_{d-k} is an integer.  y = (t/q)^ell then satisfies
 t y' = -ell (r - 1) y, that is y_0 = 1 and m y_m = -ell sum_{k=1..m} r_k y_{m-k}.
 """
 
@@ -60,7 +59,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .comb import PartitionTerm, binomial, is_prime, partitions
+from .comb import PartitionTerm, binomial, is_prime
 from .jfun import JTable
 
 
@@ -92,6 +91,11 @@ def _exact_quotient(num: int, den: int, what: str, *args) -> int:
     return quotient
 
 
+def _weight_numerator(ell: int, m: int, u: int) -> int:
+    """u! * ell * C(ell-m+u, u): a term's weight times prod t_i!, up to the sign (-1)^u."""
+    return math.factorial(u) * ell * binomial(ell - m + u, u)
+
+
 def term_weight(ell: int, m: int, term: PartitionTerm) -> int:
     """Integer weight of one partition term in the a_{ell,ell-m} sum.
 
@@ -105,26 +109,40 @@ def term_weight(ell: int, m: int, term: PartitionTerm) -> int:
     if m > ell:
         raise ValueError("m=%d exceeds ell=%d" % (m, ell))
     u = term.u()
-    value = _exact_quotient(math.factorial(u) * ell * binomial(ell - m + u, u),
-                            math.prod(map(math.factorial, term.t)),
+    value = _exact_quotient(_weight_numerator(ell, m, u), math.prod(map(math.factorial, term.t)),
                             "weight for ell=%d, m=%d, term=%r", ell, m, term)
     return -value if u % 2 else value
 
 
 def coeff_closed(req: CoeffRequest, j: JTable) -> int:
-    """a_{ell, ell-m} by direct evaluation of the partition sum."""
+    """a_{ell, ell-m} by the partition sum, walked term by term.
+
+    The walk takes partitions(m)'s order (distinct parts largest first, each
+    multiplicity most first), carries prod c_{r-1}^t and prod t! down, and
+    ends each branch with its parts equal to 1.  A leaf divides (-1)^u u!
+    ell C(ell-m+u, u) by prod t!; a remainder fails as term_weight does."""
     ell, m = req.ell, req.m
     if m == 0:
         return -1
     j.require(m)
     c = j.values  # c[i] holds c_{i-1}, so c_{r-1} is c[r]
-    total = 0
-    for term in partitions(m):
-        monomial = math.prod(map(pow, map(c.__getitem__, term.r), term.t))
-        total += term_weight(ell, m, term) * monomial
-    if m == ell:
-        total -= (ell + 1) * c[1]
-    return total
+    numerators = [(-1) ** u * _weight_numerator(ell, m, u) for u in range(m)]
+    factorials = [math.factorial(t) for t in range(m + 1)]
+    ones = [c[1] ** t for t in range(m + 1)]
+
+    def walk(rest, top, stack, count, monomial, den):
+        total = 0
+        for r in range(min(top, rest), 1, -1):
+            for t in range(rest // r, 0, -1):
+                total += walk(rest - t * r, r - 1, stack + ((r, t),), count + t,
+                              monomial * c[r] ** t, den * factorials[t])
+        weight, rem = divmod(numerators[count + rest - 1], den * factorials[rest])
+        if rem:
+            stack += ((1, rest),) * (rest > 0)
+            term_weight(ell, m, PartitionTerm(*zip(*reversed(stack))))  # raises: same division
+        return total + weight * monomial * ones[rest]
+
+    return walk(m, m, (), 0, 1, 1) - ((ell + 1) * c[1] if m == ell else 0)
 
 
 def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
@@ -163,37 +181,34 @@ def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     return row
 
 
-def _f_ratio(k: int) -> tuple:
-    """(numerator, denominator) of A_k / A_{k-1}, where A_k = [t^k] F(1728t)
-    = (1/12)_k (5/12)_k 1728^k / k!^2."""
-    return 12 * (12 * k - 11) * (12 * k - 7), k * k
+def _b_ratio(k: int) -> tuple:
+    """(numerator, denominator) of B_k / B_{k-1}, where B_k = [t^k] F(1728t)^2
+    = (6k)! / ((3k)! k!^3)."""
+    return 24 * (6 * k - 5) * (6 * k - 1) * (2 * k - 1), k ** 3
 
 
 def hypergeometric_row(ell: int, m_max: int | None = None) -> list:
     """[a_{ell,ell-m} for m = 0..m_max] from r = E4/E6 as a series in t = 1/j.
 
-    Builds r from F(1728t) = sum A_k t^k and the central binomial series
-    (1 - 1728t)^(-1/2) = sum C(2k,k) 432^k t^k, then runs the recurrence
-    for y = (t/q)^ell (see the module docstring): O(m_max^2) products of
-    integers with no j table, IntSeries or comb arithmetic, so it shares
-    no arithmetic with closed_row, recurrence_row or the solver.  Every
-    division, in A_k and in y_m, is checked with divmod; a remainder
-    raises IntegralityError.
+    Builds r from r * F(1728t)^2 = (1 - 1728t)^(-1/2) = sum C(2k,k) 432^k t^k,
+    with F^2 = sum B_k t^k by Clausen's formula, in one convolution pass,
+    then runs the recurrence for y = (t/q)^ell (see the module docstring):
+    O(m_max^2) products of integers with no j table, IntSeries or comb
+    arithmetic, so it shares no arithmetic with closed_row, recurrence_row
+    or the solver.  Every division, in B_k and in y_m, is checked with
+    divmod; a remainder raises IntegralityError.
     """
     if m_max is None:
         m_max = ell
     CoeffRequest(ell, m_max)  # validates ell and m_max
     n = m_max + 1
-    A = [1]
+    B = [1]
     for k in range(1, n):
-        num, den = _f_ratio(k)
-        A.append(_exact_quotient(A[-1] * num, den, "A_%d of 2F1(1/12, 5/12; 1; 1728t)", k))
-    F2 = [sum(map(operator.mul, A[: d + 1], reversed(A[: d + 1]))) for d in range(n)]
-    inverse = [1]  # F^-2: F2 starts with 1, so no division
-    for d in range(1, n):
-        inverse.append(-sum(map(operator.mul, F2[1 : d + 1], reversed(inverse))))
-    central = [math.comb(2 * k, k) * 432 ** k for k in range(n)]
-    r = [sum(map(operator.mul, central[: d + 1], reversed(inverse[: d + 1]))) for d in range(n)]
+        num, den = _b_ratio(k)
+        B.append(_exact_quotient(B[-1] * num, den, "B_%d of 3F2(1/6, 1/2, 5/6; 1, 1; 1728t)", k))
+    r = []  # r_d = C(2d,d) 432^d - sum_{k=1..d} B_k r_{d-k}
+    for d in range(n):
+        r.append(math.comb(2 * d, d) * 432 ** d - sum(map(operator.mul, B[1 : d + 1], reversed(r))))
     y = [1]
     for m in range(1, n):
         total = -ell * sum(map(operator.mul, r[1 : m + 1], reversed(y)))

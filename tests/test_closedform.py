@@ -1,5 +1,6 @@
 """Closed partition-sum coefficients, checked against published level-5 values."""
 
+import math
 import re
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from modpoly import (
     CoeffRequest,
     IntegralityError,
+    JTable,
     PartitionTerm,
     binomial,
     closed_row,
@@ -111,6 +113,37 @@ def test_term_weight_checks_exact_division(monkeypatch):
         coeff_closed(CoeffRequest(7, 6), J)
 
 
+def test_coeff_closed_fails_on_the_first_term_weight_to_fail(monkeypatch):
+    # the walk must meet the terms in partitions(m)'s order and report the
+    # first bad one exactly as term_weight does
+    real = closedform.binomial
+    monkeypatch.setattr(closedform, "binomial", lambda n, k: real(n, k) + 1)
+    for m in range(2, 13):
+        want = None
+        for term in partitions(m):
+            try:
+                term_weight(13, m, term)
+            except IntegralityError as exc:
+                want = str(exc)
+                break
+        assert want is not None, m
+        with pytest.raises(IntegralityError) as info:
+            coeff_closed(CoeffRequest(13, m), J)
+        assert str(info.value) == want, m
+
+
+def test_coeff_closed_walks_in_partitions_order(monkeypatch):
+    # with every numerator 1, each term with some t_i >= 2 leaves a remainder,
+    # and the walk hands that term to term_weight, here a recorder that lets it pass
+    seen = []
+    monkeypatch.setattr(closedform, "_weight_numerator", lambda ell, m, u: 1)
+    monkeypatch.setattr(closedform, "term_weight", lambda ell, m, term: seen.append(term))
+    for m in range(1, 17):
+        seen.clear()
+        coeff_closed(CoeffRequest(97, m), J)
+        assert seen == [term for term in partitions(m) if max(term.t) > 1], m
+
+
 def test_integrality_error_is_arithmetic_error():
     assert issubclass(IntegralityError, ArithmeticError)
 
@@ -139,6 +172,35 @@ def test_coeff_closed_needs_enough_coefficients():
         coeff_closed(CoeffRequest(5, 3), short)
     # m coefficients are exactly enough
     assert coeff_closed(CoeffRequest(5, 2), j_coefficients(2)) == -4550940
+
+
+def partition_sum(ell, m, j):
+    """The term-by-term oracle: sum of term_weight * prod c_{r-1}^t over partitions(m)."""
+    c = j.values
+    total = sum(
+        term_weight(ell, m, term) * math.prod(map(pow, map(c.__getitem__, term.r), term.t))
+        for term in partitions(m)
+    )
+    return total - (ell + 1) * c[1] if m == ell else total
+
+
+# c_-1, c_0 and c_1 are pinned by JTable; the rest may be anything, 0 and negatives included
+ARBITRARY_J = st.lists(st.integers(), min_size=16, max_size=16).map(
+    lambda rest: JTable((1, 744, 196884) + tuple(rest))
+)
+
+
+@settings(deadline=None)
+@given(ell=st.sampled_from([2, 3, 5, 7, 13, 17, 31, 97, 199]), j=ARBITRARY_J, data=st.data())
+def test_coeff_closed_is_the_partition_sum_on_any_table(ell, j, data):
+    m = data.draw(st.integers(min_value=1, max_value=min(ell, 18)), label="m")
+    assert coeff_closed(CoeffRequest(ell, m), j) == partition_sum(ell, m, j)
+
+
+@settings(deadline=None)
+@given(ell=st.sampled_from([2, 3, 5, 7, 11, 13]), j=ARBITRARY_J)
+def test_coeff_closed_at_m_equal_ell_on_any_table(ell, j):
+    assert coeff_closed(CoeffRequest(ell, ell), j) == partition_sum(ell, ell, j)
 
 
 def test_closed_row_shape_and_prefix():
@@ -213,11 +275,11 @@ def test_hypergeometric_row_validates_its_request():
 
 
 def test_hypergeometric_row_checks_exact_division(monkeypatch):
-    # one more in every ratio's numerator makes A_1 = 61, and then
-    # A_2 = 61 * (12 * 13 * 17 + 1) / 4 leaves a remainder
-    real = closedform._f_ratio
-    monkeypatch.setattr(closedform, "_f_ratio", lambda k: (real(k)[0] + 1, real(k)[1]))
-    with pytest.raises(IntegralityError, match="A_2 of 2F1"):
+    # one more in every ratio's numerator makes B_1 = 121, and then
+    # B_2 = 121 * (24 * 7 * 11 * 3 + 1) / 8 leaves a remainder
+    real = closedform._b_ratio
+    monkeypatch.setattr(closedform, "_b_ratio", lambda k: (real(k)[0] + 1, real(k)[1]))
+    with pytest.raises(IntegralityError, match=re.escape("B_2 of 3F2")):
         hypergeometric_row(7)
 
 
