@@ -120,7 +120,7 @@ def coeff_closed(req: CoeffRequest, j: JTable) -> int:
     The walk takes partitions(m)'s order (distinct parts largest first, each
     multiplicity most first), carries prod c_{r-1}^t and prod t! down, and
     ends each branch with its parts equal to 1.  A leaf divides (-1)^u u!
-    ell C(ell-m+u, u) by prod t!; a remainder fails as term_weight does."""
+    ell C(ell-m+u, u) by prod t!; a remainder raises term_weight's error."""
     ell, m = req.ell, req.m
     if m == 0:
         return -1
@@ -137,9 +137,10 @@ def coeff_closed(req: CoeffRequest, j: JTable) -> int:
                 total += walk(rest - t * r, r - 1, stack + ((r, t),), count + t,
                               monomial * c[r] ** t, den * factorials[t])
         weight, rem = divmod(numerators[count + rest - 1], den * factorials[rest])
-        if rem:
-            stack += ((1, rest),) * (rest > 0)
-            term_weight(ell, m, PartitionTerm(*zip(*reversed(stack))))  # raises: same division
+        if rem:  # the unsigned numerator leaves a remainder too, so this raises as term_weight does
+            term = PartitionTerm(*zip(*reversed(stack + ((1, rest),) * (rest > 0))))
+            _exact_quotient(_weight_numerator(ell, m, count + rest - 1), den * factorials[rest],
+                            "weight for ell=%d, m=%d, term=%r", ell, m, term)
         return total + weight * monomial * ones[rest]
 
     return walk(m, m, (), 0, 1, 1) - ((ell + 1) * c[1] if m == ell else 0)
@@ -182,8 +183,7 @@ def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
 
 
 def _b_ratio(k: int) -> tuple:
-    """(numerator, denominator) of B_k / B_{k-1}, where B_k = [t^k] F(1728t)^2
-    = (6k)! / ((3k)! k!^3)."""
+    """(numerator, denominator) of B_k / B_{k-1}, where B_k = (6k)! / ((3k)! k!^3)."""
     return 24 * (6 * k - 5) * (6 * k - 1) * (2 * k - 1), k ** 3
 
 

@@ -113,19 +113,23 @@ def test_term_weight_checks_exact_division(monkeypatch):
         coeff_closed(CoeffRequest(7, 6), J)
 
 
+def first_term_weight_error(ell, m):
+    """The message of the first term_weight over partitions(m) to raise, or None."""
+    for term in partitions(m):
+        try:
+            term_weight(ell, m, term)
+        except IntegralityError as exc:
+            return str(exc)
+    return None
+
+
 def test_coeff_closed_fails_on_the_first_term_weight_to_fail(monkeypatch):
     # the walk must meet the terms in partitions(m)'s order and report the
     # first bad one exactly as term_weight does
     real = closedform.binomial
     monkeypatch.setattr(closedform, "binomial", lambda n, k: real(n, k) + 1)
     for m in range(2, 13):
-        want = None
-        for term in partitions(m):
-            try:
-                term_weight(13, m, term)
-            except IntegralityError as exc:
-                want = str(exc)
-                break
+        want = first_term_weight_error(13, m)
         assert want is not None, m
         with pytest.raises(IntegralityError) as info:
             coeff_closed(CoeffRequest(13, m), J)
@@ -133,15 +137,20 @@ def test_coeff_closed_fails_on_the_first_term_weight_to_fail(monkeypatch):
 
 
 def test_coeff_closed_walks_in_partitions_order(monkeypatch):
-    # with every numerator 1, each term with some t_i >= 2 leaves a remainder,
-    # and the walk hands that term to term_weight, here a recorder that lets it pass
-    seen = []
-    monkeypatch.setattr(closedform, "_weight_numerator", lambda ell, m, u: 1)
-    monkeypatch.setattr(closedform, "term_weight", lambda ell, m, term: seen.append(term))
-    for m in range(1, 17):
-        seen.clear()
-        coeff_closed(CoeffRequest(97, m), J)
-        assert seen == [term for term in partitions(m) if max(term.t) > 1], m
+    # with numerator v for u in us and 0 otherwise, the first term to fail is
+    # the first in partitions(m) with u in us and prod t_i! not dividing v;
+    # over these choices that pins the walk's order, not only its first term
+    for m in range(2, 15):
+        for us in [range(m)] + [(u,) for u in range(1, m)]:
+            for v in (1, 2, 6):
+                monkeypatch.setattr(closedform, "_weight_numerator", lambda ell, m, u: v if u in us else 0)
+                want = first_term_weight_error(97, m)
+                if want is None:
+                    coeff_closed(CoeffRequest(97, m), J)
+                    continue
+                with pytest.raises(IntegralityError) as info:
+                    coeff_closed(CoeffRequest(97, m), J)
+                assert str(info.value) == want, (m, us, v)
 
 
 def test_integrality_error_is_arithmetic_error():
