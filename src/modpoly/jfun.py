@@ -4,16 +4,18 @@ Everything is derived from three classical series:
 
 * the Euler product prod_{n>=1} (1 - q^n), expanded sparsely via the
   pentagonal number theorem;
-* the discriminant form Delta = q * prod_{n>=1} (1 - q^n)^24;
-* the Eisenstein series E4 = 1 + 240 * sum sigma_3(n) q^n and
-  E8 = 1 + 480 * sum sigma_7(n) q^n, from one divisor sieve.
+* the discriminant form Delta = q * prod_{n>=1} (1 - q^n)^24 =
+  sum tau(n) q^n, the Euler product raised to the 24th power by the
+  series power kernel, which reads only its nonzero (pentagonal) terms;
+* the Eisenstein series E_k = 1 + factor * sum sigma_{k-1}(n) q^n, from
+  one divisor sieve: E4 (factor 240) and 691 E12 - 690 (factor 65520).
 
 The j-invariant is the quotient E4^3 / Delta = 1/q + 744 + 196884 q + ...
-j_coefficients builds it without a series inverse: Delta comes from
-delta_series, the Euler product raised to the 24th power by the series
-power kernel, E4^3 is the one product E4 * E8 (E8 = E4^2, since the
-weight-8 forms are one-dimensional), and j * Delta = E4^3 is then solved
-for j term by term.
+j_coefficients builds it without a series inverse and without a series
+product.  E4^3 comes from Ramanujan's identity
+691 E4^3 = 691 E12 + 432000 Delta (the weight-12 forms are spanned by E12
+and Delta), one checked division by 691 per coefficient; then
+j * Delta = E4^3 is solved for j term by term.
 Its coefficients c_i (i >= -1) are what the closed coefficient formulas
 consume, packaged in a JTable indexed from -1.
 """
@@ -48,7 +50,11 @@ def euler_factor_series(precision: int) -> IntSeries:
 
 
 def delta_series(precision: int) -> IntSeries:
-    """Discriminant form q * prod (1 - q^n)^24, leading coefficient 1 at q."""
+    """Discriminant form q * prod (1 - q^n)^24 = sum tau(n) q^n, tau(1) = 1.
+
+    The pentagonal Euler product ** 24: the power kernel's steps read only
+    its nonzero terms, about 2*sqrt(2 * precision / 3) of them.
+    """
     if precision < 2:
         raise ValueError("precision must be at least 2")
     eta24 = euler_factor_series(precision - 1) ** 24
@@ -72,12 +78,23 @@ def e4_series(precision: int) -> IntSeries:
     return _eisenstein_series(precision, 4, 240)
 
 
-def e8_series(precision: int) -> IntSeries:
-    """Eisenstein series of weight 8: constant term 1, then 480*sigma_7(n).
+def _e4_cubed(delta: IntSeries, precision: int) -> list:
+    """[q^n] E4^3 for n < precision, from tau(n) = [q^n] delta and a sigma_11 sieve.
 
-    The weight-8 forms are one-dimensional, so E8 = E4^2 exactly.
+    Ramanujan: 691 E4^3 = 691 E12 + 432000 Delta, with
+    691 E12 = 691 + 65520 sum sigma_11(n) q^n, so for n >= 1
+    [q^n] E4^3 = (65520 sigma_11(n) + 432000 tau(n)) / 691.  The division
+    is exact because tau(n) = sigma_11(n) (mod 691); it is checked, and a
+    remainder, which a wrong tau or sigma_11 leaves, raises ArithmeticError.
     """
-    return _eisenstein_series(precision, 8, 480)
+    sigma = _eisenstein_series(precision, 12, 65520).coeffs
+    cube = [1]
+    for n in range(1, precision):
+        quotient, remainder = divmod(sigma[n] + 432000 * delta.coefficient(n), 691)
+        if remainder:
+            raise ArithmeticError("[q^%d] E4^3 from sigma_11 and tau is not an integer" % n)
+        cube.append(quotient)
+    return cube
 
 
 @dataclass(frozen=True)
@@ -139,17 +156,16 @@ class JTable:
 def j_coefficients(count: int) -> JTable:
     """Compute c_{-1} .. c_{count-1} exactly from j * Delta = E4^3.
 
-    E4^3 is taken as E4 * E8, one dense product.  With Delta = q * sum a_k q^k
-    and a_0 = 1, the coefficient of q^i reads
-    c_{i-1} = [q^i] E4^3 - sum_{k=1..i} a_k c_{i-1-k}.
+    E4^3 is read off Delta and a sigma_11 sieve (_e4_cubed), with no series
+    product.  With Delta = q * sum a_k q^k and a_0 = 1, the coefficient of
+    q^i reads c_{i-1} = [q^i] E4^3 - sum_{k=1..i} a_k c_{i-1-k}.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    e4 = e4_series(count + 1).coeffs
-    e8 = e8_series(count + 1).coeffs
-    a = delta_series(count + 2).coeffs
+    delta = delta_series(count + 2)
+    cube = _e4_cubed(delta, count + 1)
+    a = delta.coeffs
     values = []
     for i in range(count + 1):
-        e4cubed = sum(map(mul, e4, e8[i::-1]))
-        values.append(e4cubed - sum(map(mul, a[1 : i + 1], reversed(values))))
+        values.append(cube[i] - sum(map(mul, a[1 : i + 1], reversed(values))))
     return JTable(tuple(values))

@@ -20,9 +20,13 @@ Arithmetic tracks precision pessimistically:
 * invert: requires a unit leading coefficient (+1 or -1) so the inverse
   stays integral.
 
-``**`` and ``invert`` share one kernel, Miller's power recurrence; its
-single step, _miller_next, also ends each power of the upward product
-chain in recurrence.recurrence_row.
+``**`` and ``invert`` share one kernel, Miller's power recurrence.  Each
+call lists the nonzero terms (s, f_s) of the input once, and each step
+sums over those with s <= i only, so a sparse input such as the
+pentagonal Euler product (about 2*sqrt(2N/3) nonzero terms below q^N)
+costs O(sqrt N) products per coefficient instead of O(N).  The single
+step, _miller_next, also ends each power of the upward product chain in
+recurrence.recurrence_row.
 
 Values are immutable.  Instances with equal base, coefficient block and
 precision compare equal, and normalization trims leading zeros (raising
@@ -31,7 +35,7 @@ the base) so equal series have a unique representation.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from operator import mul
 
 
@@ -208,28 +212,33 @@ class IntSeries:
         """First count coefficients of f^alpha, for f = self / q^base_exponent.
 
         One step of Miller's recurrence per coefficient (_miller_next), for
-        alpha >= -1; alpha = -1 needs a unit f_0.
+        alpha >= -1; alpha = -1 needs a unit f_0.  The nonzero terms of f
+        below q^count are listed once, here, and every step reads only them.
         """
         f = self.coeffs
+        terms = tuple((s, c) for s, c in enumerate(f[:count]) if c)
         g = [f[0] ** abs(alpha)] if count > 0 else []
         for _ in range(1, count):
-            g.append(_miller_next(f, g, alpha))
+            g.append(_miller_next(terms, g, alpha))
         return g
 
 
-def _miller_next(f, g, alpha: int) -> int:
+def _miller_next(terms, g, alpha: int) -> int:
     """g_i for i = len(g) >= 1, where g holds the first i coefficients of f^alpha.
 
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-    i f_0 g_i = sum_{s=1..i} ((alpha+1) s - i) f_s g_{i-s}, which reads
-    f_0 .. f_i.  The division is checked with divmod; a remainder raises
+    terms lists pairs (s, f_s) by ascending s, starting with (0, f_0) for a
+    nonzero f_0; it must hold every nonzero f_s with s <= i, and may hold
+    zero ones.  J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    i f_0 g_i = sum_{s=1..i} ((alpha+1) s - i) f_s g_{i-s}, summed over the
+    listed s only.  The division is checked with divmod; a remainder raises
     ArithmeticError.
     """
     i = len(g)
     step = alpha + 1
-    weights = itertools.count(step - i, step)  # (alpha+1) s - i, s = 1..i
-    acc = sum(map(mul, map(mul, weights, f[1 : i + 1]), reversed(g)))
-    quotient, remainder = divmod(acc, i * f[0])
+    acc = 0
+    for s, c in terms[1 : bisect_left(terms, (i + 1,))]:  # (i+1,) sorts before (i+1, c)
+        acc += (step * s - i) * c * g[i - s]
+    quotient, remainder = divmod(acc, i * terms[0][1])
     if remainder:
         raise ArithmeticError("coefficient %d of a series power is not an integer" % i)
     return quotient

@@ -131,6 +131,7 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
         return list(cached[: m_max + 1])
 
     f = j.hat_series(m_max + 1).coeffs
+    terms = tuple(enumerate(f))  # the Miller step's (s, f_s), once per row
     k0 = ell - m_max + 1
     powers = []  # jhat^k0, jhat^(k0+1), ..., jhat^ell
     if m_max:
@@ -138,7 +139,7 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     for k in range(k0 + 1, ell + 1):
         prev = powers[-1]
         power = [sum(map(mul, f, prev[d::-1])) for d in range(len(prev))]
-        power.append(_miller_next(f, power, k))
+        power.append(_miller_next(terms, power, k))
         powers.append(tuple(power))
     powers.reverse()  # powers[n] is jhat^(ell-n)
     row = [-1]

@@ -1,5 +1,6 @@
 """The j-invariant expansion and the series feeding it."""
 
+import math
 from operator import mul
 
 import pytest
@@ -15,7 +16,7 @@ from modpoly import (
     j_coefficients,
     ord_p,
 )
-from modpoly.jfun import e8_series
+from modpoly import jfun
 
 # c_0 .. c_6, frozen reference values
 JCOEFFS = (744, 196884, 21493760, 864299970, 20245856256, 333202640600, 4252023300096)
@@ -73,21 +74,89 @@ def test_e4_small_coefficients():
     assert e.coefficient(3) == 6720  # 240 * (1 + 27)
 
 
+def e8_by_sieve(precision):
+    """E8 = 1 + 480 sum sigma_7(n) q^n, by a divisor sieve of its own."""
+    coeffs = [1] + [0] * (precision - 1)
+    for d in range(1, precision):
+        for n in range(d, precision, d):
+            coeffs[n] += 480 * d**7
+    return IntSeries(0, coeffs, precision)
+
+
 def test_e8_small_coefficients():
-    e = e8_series(3)
+    e = e8_by_sieve(3)
     assert (e.coefficient(0), e.coefficient(1), e.coefficient(2)) == (1, 480, 480 * (1 + 2**7))
 
 
 @pytest.mark.parametrize("precision", [1, 2, 50, 300])
 def test_e8_is_e4_squared(precision):
     # the weight-8 forms are one-dimensional
-    assert e4_series(precision) ** 2 == e8_series(precision)
+    assert e4_series(precision) ** 2 == e8_by_sieve(precision)
 
 
 def test_e4_cubed_is_e4_times_e8():
-    # the product j_coefficients takes, against the power kernel's E4^3
+    # the dense product against the power kernel's E4^3
     e4 = e4_series(300)
-    assert e4 ** 3 == e4 * e8_series(300)
+    assert e4 ** 3 == e4 * e8_by_sieve(300)
+
+
+# tau(1) .. tau(12)
+TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944)
+
+
+def test_delta_pins_ramanujan_tau():
+    d = delta_series(13)
+    assert tuple(d.coefficient(n) for n in range(1, 13)) == TAU
+
+
+@pytest.fixture(scope="module")
+def tau_1000():
+    d = delta_series(1001)
+    return [None] + [d.coefficient(n) for n in range(1, 1001)]
+
+
+def test_tau_is_multiplicative(tau_1000):
+    tau = tau_1000
+    for m in range(2, 32):  # m < n and m * n <= 1000
+        for n in range(m + 1, 1000 // m + 1):
+            if math.gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_tau_at_prime_squares(tau_1000, p):
+    assert tau_1000[p * p] == tau_1000[p] ** 2 - p**11
+
+
+def test_e4_cubed_from_sigma11_and_tau_matches_power():
+    cube = jfun._e4_cubed(delta_series(1001), 1001)
+    assert tuple(cube) == (e4_series(1001) ** 3).coeffs
+
+
+def test_e4_cubed_checks_the_691_division_against_wrong_tau(monkeypatch):
+    # tau(7) one off breaks tau = sigma_11 (mod 691), and 691 is prime
+    real = jfun.delta_series
+
+    def corrupt(precision):
+        d = real(precision)
+        coeffs = list(d.coeffs)
+        coeffs[6] += 1
+        return IntSeries(d.base_exponent, coeffs, d.precision)
+
+    monkeypatch.setattr(jfun, "delta_series", corrupt)
+    with pytest.raises(ArithmeticError, match=r"\[q\^7\] E4\^3 from sigma_11 and tau is not an integer"):
+        j_coefficients(10)
+
+
+def test_e4_cubed_checks_the_691_division_against_wrong_sigma11(monkeypatch):
+    real = jfun._eisenstein_series
+
+    def corrupt(precision, weight, factor):
+        return real(precision, weight, factor + 1 if weight == 12 else factor)
+
+    monkeypatch.setattr(jfun, "_eisenstein_series", corrupt)
+    with pytest.raises(ArithmeticError, match=r"\[q\^1\] E4\^3"):
+        j_coefficients(10)
 
 
 def test_j_coefficients_known_values():
@@ -107,7 +176,7 @@ def test_j_satisfies_defining_quotient():
     assert truncated(lhs, prec) == truncated(rhs, prec)
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 60, 400])
+@pytest.mark.parametrize("count", [1, 2, 3, 60, 400, 1000])
 def test_j_matches_series_quotient_oracle(count):
     # the independent route: E4^3 times the series inverse of Delta
     quotient = e4_series(count + 1) ** 3 * delta_series(count + 2).invert(count)

@@ -6,7 +6,7 @@ import pytest
 from conftest import truncated
 from hypothesis import given, strategies as st
 
-from modpoly import IntSeries, PrecisionError
+from modpoly import IntSeries, PrecisionError, euler_factor_series
 
 
 def series_strategy(min_base=-3, max_base=3, max_len=6, unit_leading=False):
@@ -55,6 +55,38 @@ sparse_series = st.one_of(
     ),
     st.builds(IntSeries.zero, st.integers(-6, 8)),
 )
+
+
+def kernel_series(unit_leading):
+    """Inputs for the power kernel: a nonzero leading coefficient (+1 or -1
+    when the series is to be inverted) over a mostly-zero or a dense block
+    of signed coefficients, zero-padded up to two places past the block."""
+    lead = st.sampled_from([1, -1]) if unit_leading else st.integers(-9, 9).filter(bool)
+    block = st.one_of(
+        st.lists(st.sampled_from([0, 0, 0, 0, 0, 1, -1, 7, -30]), max_size=14),
+        st.lists(st.integers(-50, 50).filter(bool), max_size=14),
+    )
+    return st.builds(
+        lambda base, f0, rest, pad: IntSeries(base, [f0] + rest, base + 1 + len(rest) + pad),
+        st.integers(-3, 3),
+        lead,
+        block,
+        st.integers(0, 2),
+    )
+
+
+def inverse_by_products(a: IntSeries, out_precision: int) -> IntSeries:
+    """a^-1 below q^out_precision as u * sum_k h^k, the geometric series in
+    h = 1 - u * a / q^b for a's base b and unit leading coefficient u, with
+    every power of h a schoolbook product."""
+    b, u = a.base_exponent, a.coeffs[0]
+    count = out_precision + b
+    h = IntSeries(0, [0] + [-u * c for c in a.coeffs[1:count]], count)
+    total = term = IntSeries.one(count)
+    for _ in range(1, count):
+        term = schoolbook_mul(term, h)
+        total = total + term
+    return IntSeries(-b, (total * u).coeffs, out_precision)
 
 
 def agree_below(a: IntSeries, b: IntSeries) -> bool:
@@ -208,6 +240,11 @@ class TestPow:
         assert s ** n == folded
 
 
+    @given(kernel_series(unit_leading=False), st.integers(1, 24))
+    def test_pow_matches_schoolbook_products(self, s, n):
+        assert s ** n == functools.reduce(schoolbook_mul, [s] * n)
+
+
 class TestInvert:
     def test_geometric_series(self):
         a = IntSeries(0, [1, -1], precision=10)
@@ -248,6 +285,23 @@ class TestInvert:
             return
         assert agree_below(a * inv, IntSeries.one(out_prec))
         assert agree_below(inv * a, IntSeries.one(out_prec))
+
+
+    @given(kernel_series(unit_leading=True), st.integers(1, 16))
+    def test_invert_matches_schoolbook_geometric_series(self, a, count):
+        # count coefficients of the inverse, as many as a carries at most
+        count = min(count, a.precision - a.base_exponent)
+        out_precision = count - a.base_exponent
+        assert a.invert(out_precision) == inverse_by_products(a, out_precision)
+
+    def test_inverse_euler_product_counts_partitions(self):
+        p = [1] + [0] * 100  # p(n) by adding one part size at a time
+        for part in range(1, 101):
+            for n in range(part, 101):
+                p[n] += p[n - part]
+        inv = euler_factor_series(101).invert(101)
+        assert inv.coeffs == tuple(p)
+        assert inv.coefficient(100) == 190569292
 
 
 class TestRingAxioms:
