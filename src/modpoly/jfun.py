@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .qseries import IntSeries, PrecisionError
+from .qseries import IntSeries, PrecisionError, _exact_quotient
 
 
 def euler_factor_series(precision: int) -> IntSeries:
@@ -85,16 +85,12 @@ def _e4_cubed(delta: IntSeries, precision: int) -> list:
     691 E12 = 691 + 65520 sum sigma_11(n) q^n, so for n >= 1
     [q^n] E4^3 = (65520 sigma_11(n) + 432000 tau(n)) / 691.  The division
     is exact because tau(n) = sigma_11(n) (mod 691); it is checked, and a
-    remainder, which a wrong tau or sigma_11 leaves, raises ArithmeticError.
+    remainder, which a wrong tau or sigma_11 leaves, raises IntegralityError.
     """
     sigma = _eisenstein_series(precision, 12, 65520).coeffs
-    cube = [1]
-    for n in range(1, precision):
-        quotient, remainder = divmod(sigma[n] + 432000 * delta.coefficient(n), 691)
-        if remainder:
-            raise ArithmeticError("[q^%d] E4^3 from sigma_11 and tau is not an integer" % n)
-        cube.append(quotient)
-    return cube
+    return [1] + [_exact_quotient(sigma[n] + 432000 * delta.coefficient(n), 691,
+                                  "[q^%d] E4^3 from sigma_11 and tau", n)
+                  for n in range(1, precision)]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,10 @@ costs O(sqrt N) products per coefficient instead of O(N).  The single
 step, _miller_next, also ends each power of the upward product chain in
 recurrence.recurrence_row.
 
+Every provably exact division in the library, the Miller step's among
+them, goes through _exact_quotient, which raises IntegralityError on a
+remainder.
+
 Values are immutable.  Instances with equal base, coefficient block and
 precision compare equal, and normalization trims leading zeros (raising
 the base) so equal series have a unique representation.
@@ -41,6 +45,19 @@ from operator import mul
 
 class PrecisionError(ValueError):
     """A coefficient beyond the stated precision was requested."""
+
+
+class IntegralityError(ArithmeticError):
+    """A division that the mathematics makes exact left a remainder."""
+
+
+def _exact_quotient(num: int, den: int, what: str, *args) -> int:
+    """num / den, or IntegralityError naming ``what % args`` on a remainder."""
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise IntegralityError("integrality violation: %s is not an integer (remainder %d mod %d)"
+                               % (what % args, rem, den))
+    return quotient
 
 
 class IntSeries:
@@ -230,15 +247,12 @@ def _miller_next(terms, g, alpha: int) -> int:
     nonzero f_0; it must hold every nonzero f_s with s <= i, and may hold
     zero ones.  J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
     i f_0 g_i = sum_{s=1..i} ((alpha+1) s - i) f_s g_{i-s}, summed over the
-    listed s only.  The division is checked with divmod; a remainder raises
-    ArithmeticError.
+    listed s only.  The division is checked; a remainder raises
+    IntegralityError.
     """
     i = len(g)
     step = alpha + 1
     acc = 0
     for s, c in terms[1 : bisect_left(terms, (i + 1,))]:  # (i+1,) sorts before (i+1, c)
         acc += (step * s - i) * c * g[i - s]
-    quotient, remainder = divmod(acc, i * terms[0][1])
-    if remainder:
-        raise ArithmeticError("coefficient %d of a series power is not an integer" % i)
-    return quotient
+    return _exact_quotient(acc, i * terms[0][1], "coefficient %d of a series power", i)

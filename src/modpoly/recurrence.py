@@ -62,7 +62,7 @@ class ModularPolynomial:
     __slots__ = ("ell", "_entries")
 
     def __init__(self, ell: int, entries):
-        if ell < 2 or not is_prime(ell):
+        if not is_prime(ell):
             raise ValueError("ell must be prime, got %r" % (ell,))
         table = {}
         for (m, n), v in dict(entries).items():
@@ -215,19 +215,6 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
         parts = t2 + (n - sum(t2),)
         rhs -= d_weight(ell, r, t1, t) * full_multinomial(n, parts)
     return lhs == rhs
-
-
-# Largest level the CLI hands to the full solver (check --set conj12
-# without --file, and crosscheck's third oracle).  ell=17 solves in 0.2 s
-# (2-CPU x86-64, Python 3.11), but a higher cap adds "solver" to
-# crosscheck's OK line at ell=17, so it is a spec change and stays 13.
-SOLVER_FEASIBLE_MAX = 13
-
-# Largest level the CLI's poly command solves.  The solve takes 0.2 s at
-# ell=17, 0.45 s at ell=19 and 1.4 s at ell=23 (2-CPU x86-64, Python 3.11),
-# about ell^5.3, so ell=97 would run for most of an hour (extrapolated);
-# the cap keeps every run within seconds.
-POLY_FEASIBLE_MAX = 23
 
 
 def solver_precision(ell: int) -> int:

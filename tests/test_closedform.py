@@ -124,8 +124,8 @@ def first_term_weight_error(ell, m):
 
 
 def test_coeff_closed_fails_on_the_first_term_weight_to_fail(monkeypatch):
-    # the walk must meet the terms in partitions(m)'s order and report the
-    # first bad one exactly as term_weight does
+    # a bad weight must raise, naming the first bad term of partitions(m),
+    # the walk's own order, exactly as term_weight does
     real = closedform.binomial
     monkeypatch.setattr(closedform, "binomial", lambda n, k: real(n, k) + 1)
     for m in range(2, 13):
@@ -139,7 +139,7 @@ def test_coeff_closed_fails_on_the_first_term_weight_to_fail(monkeypatch):
 def test_coeff_closed_walks_in_partitions_order(monkeypatch):
     # with numerator v for u in us and 0 otherwise, the first term to fail is
     # the first in partitions(m) with u in us and prod t_i! not dividing v;
-    # over these choices that pins the walk's order, not only its first term
+    # over these choices the walk must raise exactly when some term fails
     for m in range(2, 15):
         for us in [range(m)] + [(u,) for u in range(1, m)]:
             for v in (1, 2, 6):
@@ -151,6 +151,16 @@ def test_coeff_closed_walks_in_partitions_order(monkeypatch):
                 with pytest.raises(IntegralityError) as info:
                     coeff_closed(CoeffRequest(97, m), J)
                 assert str(info.value) == want, (m, us, v)
+
+
+def test_coeff_closed_raises_when_no_term_is_named(monkeypatch):
+    # the walk's own remainder raises even if the naming pass over
+    # partitions(m) finds no term to blame
+    real = closedform.binomial
+    monkeypatch.setattr(closedform, "binomial", lambda n, k: real(n, k) + 1)
+    monkeypatch.setattr(closedform, "partitions", lambda m: iter(()))
+    with pytest.raises(IntegralityError, match=re.escape("a term weight for ell=7, m=6 is not an integer")):
+        coeff_closed(CoeffRequest(7, 6), J)
 
 
 def test_integrality_error_is_arithmetic_error():

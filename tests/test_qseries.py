@@ -6,7 +6,7 @@ import pytest
 from conftest import truncated
 from hypothesis import given, strategies as st
 
-from modpoly import IntSeries, PrecisionError, euler_factor_series
+from modpoly import IntSeries, IntegralityError, PrecisionError, euler_factor_series
 
 
 def series_strategy(min_base=-3, max_base=3, max_len=6, unit_leading=False):
@@ -264,8 +264,8 @@ class TestInvert:
 
     def test_kernel_checks_every_division(self):
         # invert refuses 2 + q before the kernel runs; called directly, the
-        # kernel's own divmod guard catches the first non-integral term
-        with pytest.raises(ArithmeticError, match="coefficient 2 .* is not an integer"):
+        # kernel's own integrality guard catches the first non-integral term
+        with pytest.raises(IntegralityError, match="coefficient 2 .* is not an integer"):
             IntSeries(0, [2, 1], precision=5)._power_coeffs(-1, 3)
 
     def test_zero_series_rejected(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from modpoly import (
     InconsistentSystemError,
     IntSeries,
+    IntegralityError,
     JTable,
     ModularPolynomial,
     PartitionTerm,
@@ -138,11 +139,11 @@ def test_recurrence_row_matches_hypergeometric_at_199():
 
 def test_recurrence_row_checks_the_miller_step(monkeypatch):
     # a chain step with its exponent off by one leaves a remainder that the
-    # step's divmod guard turns into ArithmeticError
+    # step's integrality guard turns into IntegralityError
     real = recurrence._miller_next
     monkeypatch.setattr(recurrence, "_miller_next", lambda f, g, alpha: real(f, g, alpha + 1))
     recurrence._ROW_CACHE.clear()
-    with pytest.raises(ArithmeticError, match="is not an integer"):
+    with pytest.raises(IntegralityError, match="is not an integer"):
         recurrence_row(31, J)
 
 
