@@ -27,6 +27,7 @@ from .closedform import (
     coeff_closed,
     coeff_small_m,
     hypergeometric_row,
+    partition_row,
     term_weight,
 )
 from .recurrence import (
@@ -73,7 +74,7 @@ __all__ = [
     "PartitionTerm", "binomial", "full_multinomial", "is_prime", "partitions",
     "primes_upto", "stirling_first", "stirling_second",
     "CoeffRequest", "IntegralityError", "closed_row", "coeff_closed", "coeff_small_m",
-    "hypergeometric_row", "term_weight",
+    "hypergeometric_row", "partition_row", "term_weight",
     "InconsistentSystemError", "ModularPolynomial", "coeff_recurrence", "d_weight",
     "polynomial_residual", "recurrence_row", "solve_full_polynomial", "verify_d_recurrence",
     "ALL_CHECKS", "INFINITE", "ROW_CHECKS", "CheckRecord", "CongruenceReport",

@@ -14,11 +14,13 @@ j-invariant coefficients c_i: for 0 < m < ell,
 
 and for m = ell the same sum applies with the binomial factor equal to 1,
 plus an extra -(ell+1) * c_0.  Each term's rational weight is provably an
-integer.  term_weight computes it for one term; coeff_closed walks the
-partition tree at one division and two products per term.  Both raise
-IntegralityError (qseries' one checked division) on a remainder: a
-non-integer weight means the inputs are outside the valid domain or the
-arithmetic is wrong.
+integer; term_weight computes it for one term.  A partition of m is a
+multiset of parts >= 2 with sum s <= m plus m - s ones, so partition_row
+reaches every term of every m <= M in one walk over those multisets, p(M)
+nodes, and coeff_closed is the same walk at one m.  Each term costs one
+division and two products.  A remainder raises IntegralityError (qseries'
+one checked division): a non-integer weight means the inputs are outside
+the valid domain or the arithmetic is wrong.
 
 The sum has p(m) terms.  Grouping it by the number of parts k = u + 1
 makes it polynomial in m: u!/prod t_i! = (1/k) * k!/prod t_i!, and the
@@ -32,8 +34,8 @@ is [q^m] J^k with J = sum_{r>=1} c_{r-1} q^r.  Hence
 partition terms, so the division by k is exact; closed_row checks it on
 every term and raises IntegralityError otherwise.
 
-closed_row evaluates the grouped form.  coeff_closed, with no series code
-at all, is the oracle that tests and crosscheck compare closed_row against.
+closed_row evaluates the grouped form.  partition_row and coeff_closed, with
+no series code at all, are the oracles tests and crosscheck compare it against.
 
 hypergeometric_row reaches the same row with no j table, and is the row
 the CLI serves.  Summing the grouped form over k gives, for 0 < m < ell,
@@ -96,50 +98,78 @@ def term_weight(ell: int, m: int, term: PartitionTerm) -> int:
         raise ValueError("partition %r has weight %d, expected m=%d" % (term, term.weight(), m))
     if m > ell:
         raise ValueError("m=%d exceeds ell=%d" % (m, ell))
-    value = _unsigned_weight(ell, m, term)
+    value = _exact_quotient(_weight_numerator(ell, m, term.u()),
+                            math.prod(map(math.factorial, term.t)),
+                            "weight for ell=%d, m=%d, term=%r", ell, m, term)
     return -value if term.u() % 2 else value
 
 
-def _unsigned_weight(ell: int, m: int, term: PartitionTerm) -> int:
-    """|term_weight(ell, m, term)|, unvalidated; IntegralityError names the term."""
-    return _exact_quotient(_weight_numerator(ell, m, term.u()),
-                           math.prod(map(math.factorial, term.t)),
-                           "weight for ell=%d, m=%d, term=%r", ell, m, term)
-
-
 def coeff_closed(req: CoeffRequest, j: JTable) -> int:
-    """a_{ell, ell-m} by the partition sum, walked term by term.
+    """a_{ell, ell-m} by the partition sum, term by term: partition_row's walk at one m."""
+    return _partition_sums(req.ell, j, req.m, req.m)[req.m] if req.m else -1
 
-    The walk takes partitions(m)'s order (distinct parts largest first, each
-    multiplicity most first), carries prod c_{r-1}^t and prod t! down, and
-    ends each branch with its parts equal to 1.  A leaf divides (-1)^u u!
-    ell C(ell-m+u, u) by prod t!.  On a remainder, partitions(m) is run
-    through the same check to name the first term that fails, which is the
-    one the walk met; IntegralityError is raised either way."""
-    ell, m = req.ell, req.m
-    if m == 0:
-        return -1
-    j.require(m)
+
+def partition_row(ell: int, j: JTable, m_max: int | None = None) -> list:
+    """[a_{ell,ell-m} for m = 0..m_max] by the partition sum, every m in one walk.
+
+    Same values, and on a remainder the same IntegralityError, as
+    [coeff_closed(CoeffRequest(ell, m), j) for m in 0..m_max].
+    """
+    if m_max is None:
+        m_max = ell
+    CoeffRequest(ell, m_max)  # validates ell and m_max
+    return _partition_sums(ell, j, 1, m_max)
+
+
+def _partition_sums(ell: int, j: JTable, lo: int, hi: int) -> list:
+    """[-1, then a_{ell,ell-m} for lo <= m <= hi, 0 between], for 1 <= lo.
+
+    The walk visits the multisets of parts >= 2 with sum s <= hi in
+    partitions' order (distinct parts largest first, each multiplicity most
+    first), carrying rest = hi - s, their count, prod c_{r-1}^t and prod t!
+    down each branch.  A node's term for m >= s in [lo, hi] has m - s ones:
+    one divmod of (-1)^u u! ell C(ell-m+u, u) by prod t! (m-s)!, two products.
+    A remainder at m raises what the per-m walks would: the m below it are
+    walked one by one, then partitions(m) names its first term to fail.
+    """
+    j.require(hi)
     c = j.values  # c[i] holds c_{i-1}, so c_{r-1} is c[r]
-    numerators = [(-1) ** u * _weight_numerator(ell, m, u) for u in range(m)]
-    factorials = [math.factorial(t) for t in range(m + 1)]
-    ones = [c[1] ** t for t in range(m + 1)]
+    numerators = [[(-1) ** u * _weight_numerator(ell, m, u) for u in range(m)] if m >= lo else None
+                  for m in range(hi + 1)]
+    factorials = [math.factorial(t) for t in range(hi + 1)]
+    ones = [c[1] ** t for t in range(hi + 1)]
+    total = [-1] + [0] * hi
+    top_numerators = numerators[hi]
+
+    def fail(m, numerator, den):
+        for smaller in range(lo, m):
+            _partition_sums(ell, j, smaller, smaller)
+        for term in partitions(m):
+            term_weight(ell, m, term)
+        _exact_quotient(numerator, den, "a term weight for ell=%d, m=%d", ell, m)
 
     def walk(rest, top, count, monomial, den):
-        total = 0
         for r in range(min(top, rest), 1, -1):
             for t in range(rest // r, 0, -1):
-                total += walk(rest - t * r, r - 1, count + t,
-                              monomial * c[r] ** t, den * factorials[t])
-        weight, rem = divmod(numerators[count + rest - 1], den * factorials[rest])
-        if rem:
-            for term in partitions(m):
-                _unsigned_weight(ell, m, term)
-            _exact_quotient(numerators[count + rest - 1], den * factorials[rest],
-                            "a term weight for ell=%d, m=%d", ell, m)
-        return total + weight * monomial * ones[rest]
+                walk(rest - t * r, r - 1, count + t, monomial * c[r] ** t, den * factorials[t])
+        if lo == hi:  # the loop below at its one m, kept apart for speed
+            weight, rem = divmod(top_numerators[count + rest - 1], den * factorials[rest])
+            if rem:
+                fail(hi, top_numerators[count + rest - 1], den * factorials[rest])
+            total[hi] += weight * monomial * ones[rest]
+            return
+        s = hi - rest
+        for m in range(max(s, lo), hi + 1):
+            k = m - s
+            weight, rem = divmod(numerators[m][count + k - 1], den * factorials[k])
+            if rem:
+                fail(m, numerators[m][count + k - 1], den * factorials[k])
+            total[m] += weight * monomial * ones[k]
 
-    return walk(m, m, 0, 1, 1) - ((ell + 1) * c[1] if m == ell else 0)
+    walk(hi, hi, 0, 1, 1)
+    if lo <= ell <= hi:
+        total[ell] -= (ell + 1) * c[1]
+    return total
 
 
 def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:

@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .closedform import CoeffRequest, closed_row, coeff_closed, hypergeometric_row
+from .closedform import closed_row, hypergeometric_row, partition_row
 from .comb import is_prime
 from .congruence import ALL_CHECKS, ROW_CHECKS, CongruenceReport, check_conjecture_div, check_row
 from .jfun import j_coefficients
@@ -35,13 +35,13 @@ from .recurrence import ModularPolynomial, recurrence_row, solve_full_polynomial
 # How far the CLI takes its costlier routes (solve times best of 3 in each
 # of two runs, 2-CPU x86-64, Python 3.11.7).  crosscheck runs the
 # term-by-term partition sum, the one route with no series code, up to
-# m = 20; p(20) = 627 terms keep it cheap.  The solver, in check --set
-# conj12 without --file and as crosscheck's third oracle, stops at ell = 13
-# not for time (ell = 17 solves in 0.12-0.14 s) but because from ell = 17 on
-# crosscheck's OK line would list "solver", and the benchmark's digests of
-# that line would change.  poly stops at ell = 23 for time: 0.24-0.28 s at
-# ell = 19 and 0.83-0.92 s at 23, about ell^6, so ell = 97 would run for
-# over an hour (extrapolated).
+# m = 20: one walk of p(20) = 627 nodes and 2,713 checked terms.  The
+# solver, in check --set conj12 without --file and as crosscheck's third
+# oracle, stops at ell = 13 not for time (ell = 17 solves in 0.12-0.14 s)
+# but because from ell = 17 on crosscheck's OK line would list "solver",
+# and the benchmark's digests of that line would change.  poly stops at
+# ell = 23 for time: 0.24-0.28 s at ell = 19 and 0.83-0.92 s at 23, about
+# ell^6, so ell = 97 would run for over an hour (extrapolated).
 PARTITION_CHECK_MAX = 20
 SOLVER_FEASIBLE_MAX = 13
 POLY_FEASIBLE_MAX = 23
@@ -386,6 +386,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     _check_level(args, args.m_max, "--m-max")
+    if args.m_max == 0:
+        raise UsageError("--m-max 0 compares only a_{ell,ell} = -1, which every route returns")
     m_max = args.m_max if args.m_max is not None else args.ell
     solvable = args.ell <= SOLVER_FEASIBLE_MAX
     # In solver range the solver's table serves every route; the rows read its prefix.
@@ -401,10 +403,7 @@ def _cmd_crosscheck(args) -> int:
     routes = dict(
         sources,
         hypergeometric=hypergeometric_row(args.ell, m_max),
-        partition=[
-            coeff_closed(CoeffRequest(args.ell, m), j)
-            for m in range(min(m_max, PARTITION_CHECK_MAX) + 1)
-        ],
+        partition=partition_row(args.ell, j, min(m_max, PARTITION_CHECK_MAX)),
     )
 
     mismatches = []

@@ -12,12 +12,14 @@ from modpoly import (
     IntegralityError,
     JTable,
     PartitionTerm,
+    PrecisionError,
     binomial,
     closed_row,
     coeff_closed,
     coeff_small_m,
     hypergeometric_row,
     j_coefficients,
+    partition_row,
     partitions,
     primes_upto,
     recurrence_row,
@@ -220,6 +222,102 @@ def test_coeff_closed_is_the_partition_sum_on_any_table(ell, j, data):
 @given(ell=st.sampled_from([2, 3, 5, 7, 11, 13]), j=ARBITRARY_J)
 def test_coeff_closed_at_m_equal_ell_on_any_table(ell, j):
     assert coeff_closed(CoeffRequest(ell, ell), j) == partition_sum(ell, ell, j)
+
+
+# --- partition_row -------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(ell=st.sampled_from([2, 3, 5, 7, 13, 17, 31, 97, 199]), j=ARBITRARY_J, data=st.data())
+def test_partition_row_is_the_partition_sum_on_any_table(ell, j, data):
+    m_max = data.draw(st.integers(min_value=0, max_value=min(ell, 18)), label="m_max")
+    want = [-1] + [partition_sum(ell, m, j) for m in range(1, m_max + 1)]
+    assert partition_row(ell, j, m_max) == want
+
+
+@settings(deadline=None)
+@given(ell=st.sampled_from([2, 3, 5, 7, 11, 13]), j=ARBITRARY_J)
+def test_partition_row_on_full_rows_on_any_table(ell, j):
+    # m = ell carries the extra -(ell+1) * c_0
+    assert partition_row(ell, j) == [-1] + [partition_sum(ell, m, j) for m in range(1, ell + 1)]
+
+
+def test_partition_row_at_m_max_zero():
+    assert partition_row(5, J, 0) == [-1]
+    assert partition_row(2, JTable((1, 744)), 0) == [-1]
+
+
+def test_partition_row_matches_coeff_closed_at_the_crosscheck_levels():
+    # every level crosscheck-sweep runs, at crosscheck's bound m <= 20
+    j = j_coefficients(20)
+    levels = [ell for ell in primes_upto(97) if ell >= 17]
+    assert len(levels) == 19
+    for ell in levels:
+        m_max = min(ell, 20)
+        want = [coeff_closed(CoeffRequest(ell, m), j) for m in range(m_max + 1)]
+        assert partition_row(ell, j, m_max) == want, ell
+
+
+def test_partition_row_validates_its_request():
+    with pytest.raises(PrecisionError):
+        partition_row(5, j_coefficients(2), 3)
+    assert partition_row(5, j_coefficients(2), 2) == [-1, 3720, -4550940]
+    with pytest.raises(ValueError):
+        partition_row(9, J)
+    with pytest.raises(ValueError):
+        partition_row(5, J, 6)
+
+
+def per_m_error(ell, m_max):
+    """The message [coeff_closed(CoeffRequest(ell, m), J) for m <= m_max] raises, or None."""
+    try:
+        [coeff_closed(CoeffRequest(ell, m), J) for m in range(m_max + 1)]
+    except IntegralityError as exc:
+        return str(exc)
+    return None
+
+
+def test_partition_row_fails_on_the_first_term_weight_to_fail(monkeypatch):
+    # every m from 2 on fails: the row names m = 2's first bad term for every m_max
+    real = closedform.binomial
+    monkeypatch.setattr(closedform, "binomial", lambda n, k: real(n, k) + 1)
+    for m_max in range(2, 14):
+        want = per_m_error(13, m_max)
+        assert want == first_term_weight_error(13, 2), m_max
+        with pytest.raises(IntegralityError) as info:
+            partition_row(13, J, m_max)
+        assert str(info.value) == want, m_max
+
+
+def test_partition_row_fails_at_the_smallest_failing_m(monkeypatch):
+    # the walk may meet a larger m's remainder first; the row must still
+    # raise what the per-m list raises, at its smallest failing m
+    for m_max in range(2, 15):
+        for us in [range(m_max)] + [(u,) for u in range(1, m_max)]:
+            for v in (1, 2, 6):
+                monkeypatch.setattr(closedform, "_weight_numerator", lambda ell, m, u: v if u in us else 0)
+                want = per_m_error(97, m_max)
+                if want is None:
+                    partition_row(97, J, m_max)
+                    continue
+                with pytest.raises(IntegralityError) as info:
+                    partition_row(97, J, m_max)
+                assert str(info.value) == want, (m_max, us, v)
+
+
+def test_partition_row_raises_when_no_term_is_named(monkeypatch):
+    # with no term to blame, the row raises the smallest failing m's own error
+    real = closedform.binomial
+    monkeypatch.setattr(closedform, "binomial", lambda n, k: real(n, k) + 1)
+    monkeypatch.setattr(closedform, "partitions", lambda m: iter(()))
+    want = per_m_error(7, 6)
+    assert want.startswith("integrality violation: a term weight for ell=7, m=2 is not an integer")
+    with pytest.raises(IntegralityError) as info:
+        partition_row(7, J, 6)
+    assert str(info.value) == want
+
+
+# --- closed_row ----------------------------------------------------------
 
 
 def test_closed_row_shape_and_prefix():

@@ -11,7 +11,6 @@ from conftest import PHI2_KNOWN, PHI5_FACTORED
 from hypothesis import given, settings, strategies as st
 
 from modpoly import (
-    CoeffRequest,
     ModularPolynomial,
     SutherlandParseError,
     check_row,
@@ -597,24 +596,34 @@ def test_cli_crosscheck_beyond_solver_range(capsys):
 
 
 def test_cli_crosscheck_runs_partition_sum_up_to_its_bound(capsys, monkeypatch):
-    real = io_cli.coeff_closed
+    real = io_cli.partition_row
     seen = []
 
-    def off_by_one_at_4(req, j):
-        seen.append(req.m)
-        return real(req, j) + (req.m == 4)
+    def off_by_one_at_4(ell, j, m_max):
+        seen.append(m_max)
+        row = real(ell, j, m_max)
+        row[4] += 1
+        return row
 
-    monkeypatch.setattr(io_cli, "coeff_closed", off_by_one_at_4)
+    monkeypatch.setattr(io_cli, "partition_row", off_by_one_at_4)
     code, out, _ = run_cli(capsys, "crosscheck", "--ell", "23")
     assert code == 3
-    assert seen == list(range(io_cli.PARTITION_CHECK_MAX + 1))
+    assert seen == [io_cli.PARTITION_CHECK_MAX]
     (line,) = [l for l in out.splitlines() if l.startswith("MISMATCH at")]
-    good = real(CoeffRequest(23, 4), j_coefficients(4))
+    good = real(23, j_coefficients(4), 4)[4]
     assert line == (
         "MISMATCH at m=4: closed=%d, hypergeometric=%d, partition=%d, recurrence=%d"
         % (good, good, good + 1, good)
     )
     assert "crosscheck: MISMATCH (1 of 24 rows)" in out
+
+
+def test_cli_crosscheck_refuses_m_max_zero(capsys):
+    # every route returns a_{ell,ell} = -1 by construction, so m <= 0 checks nothing
+    assert run_cli(capsys, "crosscheck", "--ell", "5", "--m-max", "0") == (
+        1, "", "error: --m-max 0 compares only a_{ell,ell} = -1, which every route returns\n")
+    assert run_cli(capsys, "crosscheck", "--ell", "5", "--m-max", "1") == (
+        0, "crosscheck: OK (ell=5, m <= 1, methods: closed,recurrence,solver)\n", "")
 
 
 def test_cli_crosscheck_compares_the_hypergeometric_row_on_every_m(capsys, monkeypatch):
