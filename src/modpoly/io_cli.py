@@ -373,13 +373,11 @@ def _cmd_check(args) -> int:
         if name not in summary:
             sys.stderr.write("note: %s covers no coefficient at ell=%d\n" % (name, args.ell))
 
-    text, doc = _report_text(report), report.to_json_dict()
-    if args.out:
-        # --out always receives the JSON report; the text report still goes to stdout
-        _deliver(argparse.Namespace(format="json", out=args.out), text, doc)
-        sys.stdout.write(text)
-    else:
-        _deliver(args, text, doc)
+    # --out always receives the JSON report; the text report still goes to stdout
+    if args.out or args.format == "json":
+        _deliver(argparse.Namespace(format="json", out=args.out), "", report.to_json_dict())
+    if args.out or args.format == "text":
+        sys.stdout.write(_report_text(report))
     severities = {rec.severity for rec in report.failures()}
     return 3 if "FATAL" in severities else 4 if severities else 0
 

@@ -1,6 +1,7 @@
 """Valuation arithmetic and the divisibility checkers."""
 
 import hashlib
+import re
 
 import pytest
 from conftest import PHI5_FACTORED
@@ -26,6 +27,7 @@ from modpoly import (
     required_two_valuation,
     solve_full_polynomial,
 )
+from modpoly.comb import primes_upto
 from modpoly.recurrence import solver_precision
 
 
@@ -38,6 +40,31 @@ def naive_ord(x, p):
         x //= p
         e += 1
     return Valuation(e)
+
+
+def naive_check_row(ell, row, checks=ROW_CHECKS):
+    """Test oracle: check_row's records, decided afresh for every m."""
+    records = []
+    for m, a in enumerate(row, start=1):
+        if "prop22" in checks and ell % 2 == 1:
+            need = (0, 3, 2, 5, 1, 4, 2, 5)[m % 8]
+            records.append(CheckRecord("prop22", (m,), 2, need, naive_ord(a, 2)))
+        if "prop23" in checks:
+            records.append(CheckRecord("prop23", (m,), 3, (0, 1, 2)[m % 3], naive_ord(a, 3)))
+        if "conj25" in checks and m < ell and (ell % 5, m % 5) in {(1, 4), (3, 4), (2, 3), (4, 2)}:
+            records.append(CheckRecord("conj25", (m,), 5, 1, naive_ord(a, 5)))
+    return records
+
+
+def naive_conjecture_div(poly):
+    """Test oracle: check_conjecture_div's records from the stated corner bounds."""
+    ell, records = poly.ell, []
+    for m, n, a in poly.items():
+        c = ell + 1 - m - n
+        for p, need in ((2, 15 * c), (3, -(-9 * c // 2) if ell % 3 == 1 else 3 * c), (5, 3 * c)):
+            if c > 0 and p != ell:
+                records.append(CheckRecord("conj12", (m, n), p, need, naive_ord(a, p)))
+    return records
 
 
 # --- ord_p ---------------------------------------------------------------
@@ -65,6 +92,9 @@ def test_ord_requires_prime():
         ord_p(12, 1)
     with pytest.raises(ValueError):
         ord_p(0, 9)
+    for p in (9, 15, 25, 27, 1, 0, -3):
+        with pytest.raises(ValueError):
+            ord_p(3 ** 20 * 5 ** 15, p)
 
 
 def test_ord_requires_an_integer():
@@ -80,6 +110,9 @@ def test_ord_requires_an_integer():
     assert ord_p(True, 3) == Valuation(0)
     assert ord_p(True, 2) == Valuation(0)
     assert ord_p(False, 5) == INFINITE
+    for p in (2, 3, 5, 7, 11, 13):
+        assert ord_p(True, p) == naive_ord(True, p) == Valuation(0)
+        assert ord_p(False, p) == naive_ord(False, p) == INFINITE
 
 
 def test_ord_high_powers_of_odd_primes():
@@ -89,8 +122,34 @@ def test_ord_high_powers_of_odd_primes():
         assert ord_p(-(3 ** e) * 2, 3) == Valuation(e), e
 
 
+# Units coprime to 2, 3 and 5: small, one int digit wide, and far wider.
+UNITS = (1, 7, 11 * 13 * 17, 2 ** 30 - 3, 7 ** 200 + 30, 11 ** 333 * 49)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ord_every_small_valuation_matches_naive_oracle(p):
+    # e = 17, 18, 19 straddle 3^18 and e = 11, 12, 13 straddle 5^12, the
+    # largest powers below one 30-bit int digit
+    for e in range(41):
+        for u in UNITS:
+            if u % p == 0:
+                continue
+            for x in (p ** e * u, -(p ** e) * u):
+                assert ord_p(x, p) == naive_ord(x, p) == Valuation(e), (e, u)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_ord_past_the_shared_valuations_matches_naive_oracle(p):
+    for e in (62, 63, 64, 65, 70, 100, 127, 128, 129, 300):
+        for u in UNITS[:4]:
+            if u % p == 0:
+                continue
+            x = p ** e * u
+            assert ord_p(x, p) == ord_p(-x, p) == naive_ord(x, p) == Valuation(e), (e, u)
+
+
 @given(
-    p=st.sampled_from([2, 3, 5, 7]),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
     e=st.integers(0, 300),
     u=st.integers(1, 10 ** 40),
     negative=st.booleans(),
@@ -105,7 +164,7 @@ def test_ord_matches_naive_oracle(p, e, u, negative):
 nonzero = st.integers(-10 ** 12, 10 ** 12).filter(lambda n: n != 0)
 
 
-@given(x=nonzero, y=nonzero, p=st.sampled_from([2, 3, 5, 7]))
+@given(x=nonzero, y=nonzero, p=st.sampled_from([2, 3, 5, 7, 11, 13]))
 def test_ord_multiplicative(x, y, p):
     assert ord_p(x * y, p).value == ord_p(x, p).value + ord_p(y, p).value
 
@@ -249,6 +308,14 @@ def test_check_row_respects_check_subset():
     assert "unclaimed_mod8_indivisible_by_2" not in report.stats
 
 
+@pytest.mark.parametrize("checks", [("prop2",), ("conj12",), ("prop22", "Prop23"), ("",)])
+def test_check_row_refuses_unknown_check_names(checks):
+    # an unknown name used to select nothing and pass with no record
+    unknown = [c for c in checks if c not in ROW_CHECKS]
+    with pytest.raises(ValueError, match=re.escape("unknown row checks %r" % unknown)):
+        check_row(5, PHI5_ROW, checks)
+
+
 def test_check_row_skips_two_adic_table_for_level_two():
     report = check_row(2, [1488, -162000])
     assert all(r.check != "prop22" for r in report.records)
@@ -311,14 +378,29 @@ def test_conjecture_div_only_positive_c():
 # --- same verdicts as the naive oracle ---------------------------------------
 
 
-@pytest.mark.parametrize("ell", [2, 3, 5, 7, 97, 199])
+ROW_CHECK_SETS = [ROW_CHECKS, ("conj25", "prop22"), ("prop23",), ("conj25",), ()]
+
+
+@pytest.mark.parametrize("ell", primes_upto(199))
 def test_check_row_records_match_naive_oracle(ell):
     row = hypergeometric_row(ell)[1:]
-    records = check_row(ell, row).records
-    assert records == [
-        CheckRecord(r.check, r.index, r.prime, r.required, naive_ord(row[r.index[0] - 1], r.prime))
-        for r in records
-    ]
+    for checks in ROW_CHECK_SETS:
+        assert check_row(ell, row, checks).records == naive_check_row(ell, row, checks), checks
+
+
+# Values where a valuation's branch can change: zero, signs, 2^70 (past the
+# 64 shared valuations), and powers of 3 and 5 around 3^18 and 5^12.
+ADVERSARIAL = [0, -1, 1, -(2 ** 70) * 7, 2 ** 70 * 3 ** 18 * 5 ** 12]
+ADVERSARIAL += [s * p ** (k + d) * u for p, k in ((3, 18), (5, 12)) for d in (-1, 0, 1, 47)
+                for s in (1, -1) for u in (1, 7 ** 60 + 2 if p == 5 else 7 ** 60 + 1)]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13, 31, 97])
+def test_check_row_matches_naive_oracle_on_adversarial_rows(ell):
+    for shift in range(len(ADVERSARIAL)):
+        row = [ADVERSARIAL[(shift + i) % len(ADVERSARIAL)] for i in range(ell)]
+        for checks in ROW_CHECK_SETS:
+            assert check_row(ell, row, checks).records == naive_check_row(ell, row, checks)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
@@ -326,10 +408,7 @@ def test_check_conjecture_div_records_match_naive_oracle(ell):
     poly = solve_full_polynomial(ell, j_coefficients(solver_precision(ell)))
     records = check_conjecture_div(poly).records
     assert records
-    assert records == [
-        CheckRecord(r.check, r.index, r.prime, r.required, naive_ord(poly.get(*r.index), r.prime))
-        for r in records
-    ]
+    assert records == naive_conjecture_div(poly)
 
 
 @pytest.mark.parametrize("argv, sha256", [
@@ -337,6 +416,8 @@ def test_check_conjecture_div_records_match_naive_oracle(ell):
      "04c66f0ecc1997544ebaed1a838f8d5001c5827cfcd4a36feea13467fc67c81d"),
     (("check", "--ell", "13", "--set", "prop22,prop23,conj25,conj12"),
      "af41d12c49530b8db9d8891aded9379aee0d66606a9612b12c24b725a29b102d"),
+    (("check", "--ell", "401", "--format", "json"),
+     "118752c22e1411e0024c1ff838af92123e991fbc4f8cd1714a71a2eb70de75c3"),
 ])
 def test_check_report_bytes_pinned(capsys, argv, sha256):
     code = cli_main(list(argv))

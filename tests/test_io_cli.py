@@ -523,6 +523,24 @@ def test_cli_check_out_keeps_text_summary(tmp_path, capsys):
         assert target.read_text() == json_report
 
 
+def test_cli_check_builds_only_the_report_it_writes(tmp_path, capsys, monkeypatch):
+    built = []
+    report_text, to_json_dict = io_cli._report_text, io_cli.CongruenceReport.to_json_dict
+    monkeypatch.setattr(io_cli, "_report_text", lambda r: built.append("text") or report_text(r))
+    monkeypatch.setattr(io_cli.CongruenceReport, "to_json_dict",
+                        lambda r: built.append("json") or to_json_dict(r))
+    target = str(tmp_path / "report.json")
+    for argv, expected in [
+        ((), ["text"]),
+        (("--format", "json"), ["json"]),
+        (("--out", target), ["json", "text"]),
+        (("--format", "json", "--out", target), ["json", "text"]),
+    ]:
+        built.clear()
+        assert run_cli(capsys, "check", "--ell", "5", *argv)[0] == 0, argv
+        assert built == expected, argv
+
+
 def test_cli_check_file_notes_absent_pairs(tmp_path, capsys):
     text = emit_sutherland_text(solve_full_polynomial(7, j_coefficients(58)))
     full = tmp_path / "phi7.txt"
