@@ -59,26 +59,26 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .comb import PartitionTerm, binomial, is_prime, partitions
 from .jfun import JTable
 from .qseries import IntegralityError, _exact_quotient
 
 
-@dataclass(frozen=True)
-class CoeffRequest:
+class CoeffRequest(NamedTuple("CoeffRequest", [("ell", int), ("m", int)])):
     """A validated (ell, m) pair addressing the coefficient a_{ell, ell-m}."""
 
-    ell: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.ell):
-            raise ValueError("ell must be prime, got %r" % (self.ell,))
-        if not 0 <= self.m <= self.ell:
-            raise ValueError("m must lie in [0, ell], got m=%r for ell=%d" % (self.m, self.ell))
+    def __new__(cls, ell: int, m: int):
+        if not is_prime(ell):
+            raise ValueError("ell must be prime, got %r" % (ell,))
+        if not 0 <= m <= ell:
+            raise ValueError("m must lie in [0, ell], got m=%r for ell=%d" % (m, ell))
+        return super().__new__(cls, ell, m)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
 
 def _weight_numerator(ell: int, m: int, u: int) -> int:
@@ -269,6 +269,7 @@ def coeff_small_m(req: CoeffRequest, j: JTable) -> int:
     if m == 3:
         return L * c2 - L * (L - 2) * c0 * c1 + binomial(L, 3) * c0 ** 3
     c3 = j[3]
+    from fractions import Fraction  # this oracle alone needs it; importing modpoly stays lean
     if m == 4:
         v = (
             L * c3

@@ -21,8 +21,9 @@ everything vacuously.
 
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
 from .comb import is_prime
@@ -64,11 +65,13 @@ _DIGIT_POWERS = {p: max(p ** k for k in range(64) if p ** k < _DIGIT) for p in (
 def ord_p(x: int, p: int) -> Valuation:
     """Largest e with p^e dividing x; INFINITE when x is 0.
 
-    x must be an int (a bool counts as one); a float, even an integral
-    one, raises TypeError rather than being graded inexactly.
+    x and p must be ints (a bool counts as one); a float, even an
+    integral one, raises TypeError rather than being graded inexactly.
     """
     if not isinstance(x, int):
         raise TypeError("x must be an integer, got %r" % (x,))
+    if not isinstance(p, int):
+        raise TypeError("p must be an integer, got %r" % (p,))
     if p == 2:
         e = (x & -x).bit_length() - 1  # -1 for x = 0
         return INFINITE if e < 0 else _VALUATIONS[e] if e < 64 else Valuation(e)
@@ -152,10 +155,37 @@ _UNCLAIMED_STATS = {
 }
 
 
-@dataclass
-class CongruenceReport:
-    ell: int
-    records: list = field(default_factory=list)
+@functools.cache
+def _record_json(n: int) -> str:
+    """to_json_text's template for one record whose index has n entries."""
+    index = "[\n        %s\n      ]" % ",\n        ".join(["%d"] * n) if n else "[]"
+    return ('    {\n      "check": %s,\n      "index": ' + index + ',\n      "prime": %d,\n'
+            '      "required": %d,\n      "observed": "%s",\n      "verdict": "%s",\n'
+            '      "severity": "%s"\n    }')
+
+
+def _json_pairs(items, names: tuple) -> str:
+    """{key: {names[0]: a, names[1]: b}} as JSON at indent 2, for sorted (key, (a, b)) items."""
+    entry = '    %%s: {\n      "%s": %%d,\n      "%s": %%d\n    }' % names
+    body = ",\n".join(entry % (_json_string(key), a, b) for key, (a, b) in sorted(items))
+    return "{\n%s\n  }" % body if body else "{}"
+
+
+class CongruenceReport(NamedTuple("CongruenceReport", [("ell", int), ("records", list)])):
+    """The records of one run at level ell, with their tallies.
+
+    Its JSON schema is {"ell", "checks": [one object per record: "check",
+    "index", "prime", "required", "observed" (a string, "inf" for 0),
+    "verdict", "severity"], "summary": {check: {"pass", "fail"}}, "stats":
+    {key: {"indivisible", "total"}}}.  ``to_json_dict`` builds it as a dict;
+    ``to_json_text`` writes ``json.dumps(to_json_dict(), indent=2)`` plus a
+    newline, byte for byte, by one template per record.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ell: int, records: list | None = None):
+        return super().__new__(cls, ell, [] if records is None else records)
 
     @property
     def summary(self) -> dict:
@@ -188,25 +218,24 @@ class CongruenceReport:
         ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "checks": [
-                {
-                    "check": r.check,
-                    "index": list(r.index),
-                    "prime": r.prime,
-                    "required": r.required,
-                    "observed": str(r.observed),
-                    "verdict": "pass" if r.passed else "fail",
-                    "severity": r.severity,
-                }
-                for r in self.records
-            ],
-            "summary": {
-                name: {"pass": p, "fail": f} for name, (p, f) in sorted(self.summary.items())
-            },
-            "stats": {k: {"indivisible": v[0], "total": v[1]} for k, v in sorted(self.stats.items())},
-        }
+        checks = [{"check": r.check, "index": list(r.index), "prime": r.prime,
+                   "required": r.required, "observed": str(r.observed),
+                   "verdict": "pass" if r.passed else "fail", "severity": r.severity}
+                  for r in self.records]
+        summary = {k: {"pass": p, "fail": f} for k, (p, f) in sorted(self.summary.items())}
+        stats = {k: {"indivisible": h, "total": t} for k, (h, t) in sorted(self.stats.items())}
+        return {"ell": self.ell, "checks": checks, "summary": summary, "stats": stats}
+
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2) + "\\n", one % per record."""
+        checks = ",\n".join(
+            _record_json(len(r.index)) % (_json_string(r.check), *r.index, r.prime, r.required,
+                                          r.observed, "pass" if r.passed else "fail", r.severity)
+            for r in self.records)
+        return '{\n  "ell": %d,\n  "checks": %s,\n  "summary": %s,\n  "stats": %s\n}\n' % (
+            self.ell, "[\n%s\n  ]" % checks if checks else "[]",
+            _json_pairs(self.summary.items(), ("pass", "fail")),
+            _json_pairs(self.stats.items(), ("indivisible", "total")))
 
 
 def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:

@@ -24,7 +24,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closedform import closed_row, hypergeometric_row, partition_row
 from .comb import is_prime
@@ -59,8 +59,7 @@ class SutherlandParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class SutherlandFile:
+class SutherlandFile(NamedTuple):
     """Raw parse result: the level and the (m, n, value) triples in file order."""
 
     ell: int
@@ -375,7 +374,7 @@ def _cmd_check(args) -> int:
 
     # --out always receives the JSON report; the text report still goes to stdout
     if args.out or args.format == "json":
-        _deliver(argparse.Namespace(format="json", out=args.out), "", report.to_json_dict())
+        _deliver(args, report.to_json_text())
     if args.out or args.format == "text":
         sys.stdout.write(_report_text(report))
     severities = {rec.severity for rec in report.failures()}

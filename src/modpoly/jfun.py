@@ -22,7 +22,6 @@ consume, packaged in a JTable indexed from -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .qseries import IntSeries, PrecisionError, _exact_quotient
@@ -93,28 +92,40 @@ def _e4_cubed(delta: IntSeries, precision: int) -> list:
                   for n in range(1, precision)]
 
 
-@dataclass(frozen=True)
 class JTable:
     """Coefficients c_{-1}, c_0, ..., c_{count-1} of the j-invariant.
 
     ``values[i]`` holds c_{i-1}; indexing with [] uses the natural offset,
     so table[-1] == 1 and table[0] == 744.  Construction validates the
     pinned leading coefficients, which guards against passing a table
-    built from the wrong series.
+    built from the wrong series.  A table is immutable, and equal tables
+    (equal ``values``) hash alike.
     """
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        v = self.values
+    def __init__(self, values: tuple):
+        v = values
         if not isinstance(v, tuple) or len(v) < 1:
             raise ValueError("need at least the coefficient c_{-1}")
-        if v[0] != 1:
-            raise ValueError("c_{-1} must be 1, got %r" % (v[0],))
-        if len(v) >= 2 and v[1] != 744:
-            raise ValueError("c_0 must be 744, got %r" % (v[1],))
-        if len(v) >= 3 and v[2] != 196884:
-            raise ValueError("c_1 must be 196884, got %r" % (v[2],))
+        for name, pinned, value in zip(("c_{-1}", "c_0", "c_1"), (1, 744, 196884), v):
+            if value != pinned:
+                raise ValueError("%s must be %d, got %r" % (name, pinned, value))
+        object.__setattr__(self, "values", v)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.values == other.values if type(other) is JTable else NotImplemented
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return "JTable(values=%r)" % (self.values,)
 
     @property
     def count(self) -> int:

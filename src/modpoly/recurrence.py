@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import add, mul
 
 from .closedform import CoeffRequest
@@ -156,8 +155,8 @@ def coeff_recurrence(ell: int, m: int, j: JTable) -> int:
     return recurrence_row(ell, j, m)[m]
 
 
-def d_weight(ell: int, r, t1, t_full) -> Fraction:
-    """Exact rational split weight d for parts r at sub-multiplicities t1.
+def d_weight(ell: int, r, t1, t_full):
+    """Exact rational split weight d, a Fraction, for parts r at sub-multiplicities t1.
 
     r must be strictly increasing and positive, and t_full holds the full
     multiplicities the split was taken from, so 0 <= t1[i] <= t_full[i]
@@ -182,6 +181,7 @@ def d_weight(ell: int, r, t1, t_full) -> Fraction:
     den = 1
     for ti in t1:
         den *= math.factorial(ti)
+    from fractions import Fraction  # the test oracles alone need it; importing modpoly stays lean
     val = Fraction(ell * math.factorial(ell - 1 - W + s), den * math.factorial(ell - W))
     return val if s % 2 else -val
 
@@ -203,7 +203,7 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
     if len(r) != len(t) or any(ti < 1 for ti in t):
         raise ValueError("t must give positive multiplicity for each part")
     lhs = d_weight(ell, r, t, t)
-    rhs = Fraction(0)
+    rhs = 0
     splits = [()]
     for ti in t:
         splits = [prefix + (x,) for prefix in splits for x in range(ti + 1)]

@@ -42,6 +42,24 @@ def test_request_accepts_valid():
     CoeffRequest(2, 2)
 
 
+def test_request_is_an_immutable_value():
+    req = CoeffRequest(5, 3)
+    assert req == CoeffRequest(5, 3) and hash(req) == hash(CoeffRequest(5, 3))
+    assert req != CoeffRequest(5, 2) and req != CoeffRequest(7, 3)
+    assert len({req, CoeffRequest(5, 3), CoeffRequest(7, 3)}) == 2
+    assert repr(req) == "CoeffRequest(ell=5, m=3)"
+    with pytest.raises(AttributeError):
+        req.m = 4
+    with pytest.raises(AttributeError):
+        req.extra = 1
+    # a copy with a field changed is validated like a new request
+    assert req._replace(m=5) == CoeffRequest(5, 5)
+    with pytest.raises(ValueError, match="^m must lie in"):
+        req._replace(m=6)
+    with pytest.raises(ValueError, match="^ell must be prime"):
+        req._replace(ell=9)
+
+
 @pytest.mark.parametrize("ell", [4, 9, 1, 0, -5])
 def test_request_rejects_bad_level(ell):
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Valuation arithmetic and the divisibility checkers."""
 
 import hashlib
+import json
 import re
 
 import pytest
@@ -113,6 +114,14 @@ def test_ord_requires_an_integer():
     for p in (2, 3, 5, 7, 11, 13):
         assert ord_p(True, p) == naive_ord(True, p) == Valuation(0)
         assert ord_p(False, p) == naive_ord(False, p) == INFINITE
+    # so must p: float division would grade 3^40 * 7 as 1 and 7^30 as 0
+    for x, p in ((3 ** 40 * 7, 3.0), (7 ** 30, 7.0), (5 ** 30, 5.0), (2 ** 70, 2.0), (0, 3.0)):
+        with pytest.raises(TypeError, match="^p must be an integer"):
+            ord_p(x, p)
+    # a bool p is an int, and neither True nor False is prime
+    for p in (True, False):
+        with pytest.raises(ValueError, match="^p must be prime"):
+            ord_p(9, p)
 
 
 def test_ord_high_powers_of_odd_primes():
@@ -450,6 +459,74 @@ def test_report_json_schema():
         assert entry["verdict"] in ("pass", "fail")
     assert doc["summary"]["prop22"] == {"pass": 5, "fail": 0}
     assert all(set(v) == {"indivisible", "total"} for v in doc["stats"].values())
+
+
+# --- the JSON report, by template ----------------------------------------------
+
+
+def json_oracle(report):
+    """Test oracle: the report through json's own indent-2 encoder."""
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+valuations = st.one_of(st.just(INFINITE), st.integers(0, 300).map(Valuation))
+records = st.builds(
+    CheckRecord,
+    check=st.one_of(st.sampled_from(ALL_CHECKS), st.text(max_size=8)),
+    index=st.one_of(st.tuples(st.integers(0, 500)),
+                    st.tuples(st.integers(0, 500), st.integers(0, 500))),
+    prime=st.sampled_from([2, 3, 5]),
+    required=st.integers(0, 400),
+    observed=valuations,
+)
+
+
+@given(ell=st.integers(2, 1000), recs=st.lists(records, max_size=12))
+def test_json_text_matches_json_dumps(ell, recs):
+    report = CongruenceReport(ell, recs)
+    assert report.to_json_text() == json_oracle(report)
+
+
+def test_json_text_covers_every_shape():
+    # fail verdicts of both severities, INFINITE and a valuation past 64,
+    # row and corner indices, then empty checks, summary and stats
+    recs = [
+        CheckRecord("prop22", (3,), 2, 5, Valuation(1)),
+        CheckRecord("conj12", (3, 1), 5, 90, Valuation(70)),
+        CheckRecord("conj12", (0, 0), 3, 9, INFINITE),
+        CheckRecord("conj25", (4,), 5, 1, Valuation(200)),
+        CheckRecord('quo"te\\\u00e9', (1,), 3, 1, Valuation(0)),
+    ]
+    report = CongruenceReport(7, recs)
+    text = report.to_json_text()
+    assert text == json_oracle(report)
+    assert {r.severity for r in report.failures()} == {"FATAL", "COUNTEREXAMPLE"}
+    assert '"observed": "inf"' in text and '"observed": "70"' in text
+    corner = CongruenceReport(7, recs[1:3])
+    assert corner.to_json_text() == json_oracle(corner)
+    assert corner.to_json_text().endswith('"stats": {}\n}\n')
+    assert CongruenceReport(5).to_json_text() == (
+        '{\n  "ell": 5,\n  "checks": [],\n  "summary": {},\n  "stats": {}\n}\n'
+    )
+
+
+@pytest.mark.parametrize("ell", primes_upto(199))
+def test_json_text_matches_json_dumps_on_every_row(ell):
+    row = hypergeometric_row(ell)[1:]
+    for checks in ROW_CHECK_SETS:
+        report = check_row(ell, row, checks)
+        assert report.to_json_text() == json_oracle(report), checks
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_json_text_matches_json_dumps_on_corner_reports(ell):
+    poly = solve_full_polynomial(ell, j_coefficients(solver_precision(ell)))
+    broken = {(m, n): v for m, n, v in poly.items()}
+    broken[(0, 0)] = 1  # c = ell + 1, so every prime checked here fails
+    for table in (poly, ModularPolynomial(ell, broken)):
+        report = check_conjecture_div(table)
+        assert report.to_json_text() == json_oracle(report)
+    assert report.failures()  # the broken table's report holds failures
 
 
 def test_check_name_constants():

@@ -525,10 +525,12 @@ def test_cli_check_out_keeps_text_summary(tmp_path, capsys):
 
 def test_cli_check_builds_only_the_report_it_writes(tmp_path, capsys, monkeypatch):
     built = []
-    report_text, to_json_dict = io_cli._report_text, io_cli.CongruenceReport.to_json_dict
+    report_text, to_json_text = io_cli._report_text, io_cli.CongruenceReport.to_json_text
     monkeypatch.setattr(io_cli, "_report_text", lambda r: built.append("text") or report_text(r))
-    monkeypatch.setattr(io_cli.CongruenceReport, "to_json_dict",
-                        lambda r: built.append("json") or to_json_dict(r))
+    monkeypatch.setattr(io_cli.CongruenceReport, "to_json_text",
+                        lambda r: built.append("json") or to_json_text(r))
+    # the JSON is written from the records: no dict is built on the way
+    monkeypatch.setattr(io_cli.CongruenceReport, "to_json_dict", lambda r: built.append("dict"))
     target = str(tmp_path / "report.json")
     for argv, expected in [
         ((), ["text"]),
@@ -729,6 +731,20 @@ def test_python_m_modpoly_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "3720\n", "")
+
+
+def test_import_loads_no_dataclass_or_fraction_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in
+    # decimal: none of them is needed to import the package
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys; before = set(sys.modules); import modpoly; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "modpoly.congruence" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def test_cli_entry_point_raises_system_exit():

@@ -216,6 +216,23 @@ def test_table_validates_pinned_constants():
         JTable(())
 
 
+def test_table_is_an_immutable_value():
+    table, same = j_coefficients(20), j_coefficients(20)
+    assert table is not same and table == same and hash(table) == hash(same)
+    assert {table: 1}[same] == 1
+    assert table != j_coefficients(21) and table != table.values
+    changed = JTable(table.values[:-1] + (table.values[-1] + 1,))
+    assert changed != table
+    assert repr(JTable((1, 744))) == "JTable(values=(1, 744))"
+    with pytest.raises(AttributeError, match="cannot assign to or delete field 'values'"):
+        table.values = same.values
+    with pytest.raises(AttributeError):
+        table.extra = 1
+    with pytest.raises(AttributeError, match="cannot assign to or delete field 'values'"):
+        del table.values
+    assert table == same
+
+
 def test_table_index_bounds():
     table = j_coefficients(3)
     assert table.count == 3

@@ -387,6 +387,19 @@ def test_residual_reuses_the_solvers_power_table(monkeypatch):
     assert recurrence._power_table.cache_info().currsize == 1
 
 
+def test_power_table_cache_hits_on_an_equal_table():
+    # the cache keys on (ell, j): a separately built table with equal
+    # values is the same key, one of another length is not
+    recurrence._power_table.cache_clear()
+    first = recurrence._power_table(5, j_coefficients(32))
+    again = recurrence._power_table(5, JTable(j_coefficients(32).values))
+    assert again is first
+    info = recurrence._power_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    recurrence._power_table(5, j_coefficients(33))
+    assert recurrence._power_table.cache_info().misses == 2
+
+
 def test_power_table_rebuilds_for_another_level_or_table(monkeypatch):
     recurrence._power_table.cache_clear()
     products = count_products(monkeypatch)
