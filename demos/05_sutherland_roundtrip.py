@@ -51,7 +51,7 @@ print("JSON round trip:   ", read_polynomial_json(emit_polynomial_json(phi5)) ==
 # symmetry-conflicting entries included.
 
 try:
-    parse_sutherland("[1,0] 3\n[0,1] 4\n", ell=2)
+    parse_sutherland("[1,0] 3\n[0,1] 4\n")
 except ValueError as err:
     print("conflict detection:", err)
 

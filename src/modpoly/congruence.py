@@ -9,10 +9,12 @@ ord_5 of a_{m,n} linearly in c = ell + 1 - m - n when c > 0; these are
 conjectural as well.
 
 Every valuation is exact and comes from ``ord_p``: ord_2 is the position
-of the lowest set bit; for p = 3, 5 and e < k, e is read off x % p^k, one
-single-digit reduction (3^18, 5^12 on 64-bit CPython); otherwise p is
-divided out by a squaring search, O(log e) ``divmod`` calls.  Valuations
-and verdicts are immutable named tuples.
+of the lowest set bit.  Every odd prime p takes one loop over p^k, the
+largest power of p below one CPython int digit for p = 3, 5 (3^18, 5^12
+on 64-bit CPython) and p itself otherwise: while p^k divides x it is
+divided out, and the rest of e is read off the remainder x % p^k, so a
+valuation e costs O(e/k) divisions, each by one digit when p^k fits one.
+Valuations and verdicts are immutable named tuples.
 
 Checkers never raise on a failed comparison; they record verdicts so a
 sweep can aggregate.  Zero coefficients have INFINITE valuation and pass
@@ -57,9 +59,10 @@ class Valuation(NamedTuple):
 
 INFINITE = Valuation(None)
 _VALUATIONS = tuple(Valuation(e) for e in range(64))
-# For p = 3, 5: p^k, the largest power of p below one CPython int digit.
+# For p = 3, 5: k, the largest exponent with p^k below one CPython int digit, and p^k.
 _DIGIT = 1 << sys.int_info.bits_per_digit
-_DIGIT_POWERS = {p: max(p ** k for k in range(64) if p ** k < _DIGIT) for p in (3, 5)}
+_DIGIT_EXPONENTS = {p: max(k for k in range(64) if p ** k < _DIGIT) for p in (3, 5)}
+_DIGIT_POWERS = {p: p ** k for p, k in _DIGIT_EXPONENTS.items()}
 
 
 def ord_p(x: int, p: int) -> Valuation:
@@ -75,37 +78,26 @@ def ord_p(x: int, p: int) -> Valuation:
     if p == 2:
         e = (x & -x).bit_length() - 1  # -1 for x = 0
         return INFINITE if e < 0 else _VALUATIONS[e] if e < 64 else Valuation(e)
-    digit = _DIGIT_POWERS.get(p)
-    if digit is not None:
-        # x = p^e * u with e < k leaves r = x mod p^k nonzero with ord_p(r) = e.
-        r = x % digit
-        if r:
-            e = 0
-            while not r % p:
-                r //= p
-                e += 1
-            return _VALUATIONS[e]
-    elif not is_prime(p):
-        raise ValueError("p must be prime, got %r" % (p,))
-    if x == 0:
-        return INFINITE
-    # Up: divide by p, p^2, p^4, ... while they divide, so after k steps
-    # 2^k - 1 factors are gone and p^(2^k) leaves the nonzero remainder r.
-    e, powers, pk = 0, [], p
-    q, r = divmod(x, p)
-    while not r:
-        x = q
-        e += 1 << len(powers)
-        powers.append(pk)
-        pk *= pk
-        q, r = divmod(x, pk)
-    # Down: what is left is below 2^k and r, smaller than p^(2^k), has the
-    # same valuation; read it off bit by bit, largest power first.
-    for k in range(len(powers) - 1, -1, -1):
-        q, rem = divmod(r, powers[k])
-        if not rem:
-            r = q
-            e += 1 << k
+    pk = _DIGIT_POWERS.get(p)
+    if pk is None:
+        if not is_prime(p):
+            raise ValueError("p must be prime, got %r" % (p,))
+        pk = p
+    # x = p^e * u leaves r = x mod p^k with ord_p(r) = e once e < k, so
+    # p^k is divided out until r is nonzero and the rest is read off r.
+    r = x % pk
+    e = 0
+    if not r:
+        if not x:
+            return INFINITE
+        k = _DIGIT_EXPONENTS.get(p, 1)
+        while not r:
+            x //= pk
+            e += k
+            r = x % pk
+    while not r % p:
+        r //= p
+        e += 1
     return _VALUATIONS[e] if e < 64 else Valuation(e)
 
 
@@ -184,9 +176,6 @@ class CongruenceReport(NamedTuple("CongruenceReport", [("ell", int), ("records",
 
     __slots__ = ()
 
-    def __new__(cls, ell: int, records: list | None = None):
-        return super().__new__(cls, ell, [] if records is None else records)
-
     @property
     def summary(self) -> dict:
         out = {}
@@ -217,6 +206,12 @@ class CongruenceReport(NamedTuple("CongruenceReport", [("ell", int), ("records",
             if not r.passed and (severity is None or r.severity == severity)
         ]
 
+    @property
+    def verdict(self) -> str:
+        """FATAL if a proved statement failed, else COUNTEREXAMPLE if any failed, else OK."""
+        failed = {r.check for r in self.records if not r.passed}
+        return "FATAL" if failed & _FATAL_CHECKS else "COUNTEREXAMPLE" if failed else "OK"
+
     def to_json_dict(self) -> dict:
         checks = [{"check": r.check, "index": list(r.index), "prime": r.prime,
                    "required": r.required, "observed": str(r.observed),
@@ -236,6 +231,23 @@ class CongruenceReport(NamedTuple("CongruenceReport", [("ell", int), ("records",
             self.ell, "[\n%s\n  ]" % checks if checks else "[]",
             _json_pairs(self.summary.items(), ("pass", "fail")),
             _json_pairs(self.stats.items(), ("indivisible", "total")))
+
+    def to_text(self) -> str:
+        """One FAIL line per failed record, the tallies, and the verdict."""
+        failures = self.failures()
+        lines = ["FAIL %s [%s]: ord_%d = %s, required %d (%s)" % (
+            r.check, ",".join(map(str, r.index)), r.prime, r.observed, r.required, r.severity)
+            for r in failures]
+        for name, (passed, failed) in sorted(self.summary.items()):
+            lines.append("%s: %d checked, %d failed" % (name, passed + failed, failed))
+        for key, (hit, total) in sorted(self.stats.items()):
+            lines.append("note: %s: %d of %d" % (key, hit, total))
+        verdict = self.verdict
+        if verdict != "OK":
+            kind = "proved" if verdict == "FATAL" else "conjectural"
+            count = sum(r.severity == verdict for r in failures)
+            verdict = "%s (%d %s statements failed)" % (verdict, count, kind)
+        return "\n".join(lines + ["result: " + verdict]) + "\n"
 
 
 def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
@@ -278,16 +290,16 @@ def check_conjecture_div(poly: ModularPolynomial) -> CongruenceReport:
     ord_5 >= 3c (unless ell = 5).
     """
     ell = poly.ell
-    report = CongruenceReport(ell)
+    records = []
     for m, n, a in poly.items():
         c = ell + 1 - m - n
         if c <= 0:
             continue
         if ell != 2:
-            report.records.append(CheckRecord("conj12", (m, n), 2, 15 * c, ord_p(a, 2)))
+            records.append(CheckRecord("conj12", (m, n), 2, 15 * c, ord_p(a, 2)))
         if ell != 3:
             need3 = (9 * c + 1) // 2 if ell % 3 == 1 else 3 * c
-            report.records.append(CheckRecord("conj12", (m, n), 3, need3, ord_p(a, 3)))
+            records.append(CheckRecord("conj12", (m, n), 3, need3, ord_p(a, 3)))
         if ell != 5:
-            report.records.append(CheckRecord("conj12", (m, n), 5, 3 * c, ord_p(a, 5)))
-    return report
+            records.append(CheckRecord("conj12", (m, n), 5, 3 * c, ord_p(a, 5)))
+    return CongruenceReport(ell, records)

@@ -83,13 +83,13 @@ _LINE_RE = re.compile(r"^\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s+([+-]?\d+)\s*$")
 _HEADER_ELL_RE = re.compile(r"^#\s*(?:ell|level)\s*[=:]\s*(\d+)\s*$", re.IGNORECASE)
 
 
-def parse_sutherland(text, ell: int | None = None) -> SutherlandFile:
-    """Parse coefficient lines; figure out the level if none is supplied.
+def parse_sutherland(text) -> SutherlandFile:
+    """Parse coefficient lines and figure out the level.
 
     ``text`` may be str or UTF-8 bytes; LF and CRLF both work.  The level
-    is taken from, in order: the explicit argument, a "# ell = N" header
-    comment, and the entry indices themselves (a boundary entry [M,0]
-    with value 1 puts the level at M-1, otherwise at the largest m seen).
+    is taken from a "# ell = N" header comment if there is one, else from
+    the entry indices themselves (a boundary entry [M,0] with value 1 puts
+    the level at M-1, otherwise at the largest m seen).
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
@@ -121,13 +121,10 @@ def parse_sutherland(text, ell: int | None = None) -> SutherlandFile:
         triples.append((m, n, v))
     if not triples:
         raise SutherlandParseError("no coefficient lines found")
-    level = ell if ell is not None else header_ell
+    level = header_ell
     if level is None:
         top = max(m for m, _, _ in triples)
-        if any(m == top and n == 0 and v == 1 for m, n, v in triples):
-            level = top - 1
-        else:
-            level = top
+        level = top - 1 if (top, 0, 1) in triples else top
     return SutherlandFile(level, tuple(triples))
 
 
@@ -270,28 +267,6 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _report_text(report: CongruenceReport) -> str:
-    failures = report.failures()
-    lines = [
-        "FAIL %s [%s]: ord_%d = %s, required %d (%s)"
-        % (rec.check, ",".join(str(i) for i in rec.index), rec.prime, rec.observed,
-           rec.required, rec.severity)
-        for rec in failures
-    ]
-    for name, (passed, failed) in sorted(report.summary.items()):
-        lines.append("%s: %d checked, %d failed" % (name, passed + failed, failed))
-    for key, (hit, total) in sorted(report.stats.items()):
-        lines.append("note: %s: %d of %d" % (key, hit, total))
-    fatal = sum(rec.severity == "FATAL" for rec in failures)
-    if fatal:
-        lines.append("result: FATAL (%d proved statements failed)" % fatal)
-    elif failures:
-        lines.append("result: COUNTEREXAMPLE (%d conjectural statements failed)" % len(failures))
-    else:
-        lines.append("result: OK")
-    return "\n".join(lines) + "\n"
-
-
 def _screen_table(poly: ModularPolynomial, row: list) -> None:
     """Raise ValueError if ``poly`` is not Phi_ell by either of two screens.
 
@@ -362,23 +337,21 @@ def _cmd_check(args) -> int:
         records += check_row(args.ell, row[1:], row_checks).records
     if conj12:
         records += check_conjecture_div(poly).records
-    report = CongruenceReport(args.ell, records)
-    summary = report.summary
-    if not summary:
-        raise UsageError(
-            "no coefficient at ell=%d falls under %s" % (args.ell, ",".join(check_set))
-        )
+    if not records:
+        raise UsageError("no coefficient at ell=%d falls under %s"
+                         % (args.ell, ",".join(check_set)))
+    covered = {r.check for r in records}
     for name in dict.fromkeys(check_set):
-        if name not in summary:
+        if name not in covered:
             sys.stderr.write("note: %s covers no coefficient at ell=%d\n" % (name, args.ell))
+    report = CongruenceReport(args.ell, records)
 
     # --out always receives the JSON report; the text report still goes to stdout
     if args.out or args.format == "json":
         _deliver(args, report.to_json_text())
     if args.out or args.format == "text":
-        sys.stdout.write(_report_text(report))
-    severities = {rec.severity for rec in report.failures()}
-    return 3 if "FATAL" in severities else 4 if severities else 0
+        sys.stdout.write(report.to_text())
+    return {"OK": 0, "FATAL": 3, "COUNTEREXAMPLE": 4}[report.verdict]
 
 
 def _cmd_crosscheck(args) -> int:

@@ -147,7 +147,9 @@ def test_ord_every_small_valuation_matches_naive_oracle(p):
                 assert ord_p(x, p) == naive_ord(x, p) == Valuation(e), (e, u)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+# 65537 fits one 30-bit int digit though its square does not; 2^31 - 1 is
+# wider than a digit.
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65537, 2 ** 31 - 1])
 def test_ord_past_the_shared_valuations_matches_naive_oracle(p):
     for e in (62, 63, 64, 65, 70, 100, 127, 128, 129, 300):
         for u in UNITS[:4]:
@@ -487,16 +489,20 @@ def test_json_text_matches_json_dumps(ell, recs):
     assert report.to_json_text() == json_oracle(report)
 
 
+# Fail verdicts of both severities, INFINITE and a valuation past 64, row
+# and corner indices, and a check name that JSON must escape.
+SHAPE_RECORDS = [
+    CheckRecord("prop22", (3,), 2, 5, Valuation(1)),
+    CheckRecord("conj12", (3, 1), 5, 90, Valuation(70)),
+    CheckRecord("conj12", (0, 0), 3, 9, INFINITE),
+    CheckRecord("conj25", (4,), 5, 1, Valuation(200)),
+    CheckRecord('quo"te\\\u00e9', (1,), 3, 1, Valuation(0)),
+]
+
+
 def test_json_text_covers_every_shape():
-    # fail verdicts of both severities, INFINITE and a valuation past 64,
-    # row and corner indices, then empty checks, summary and stats
-    recs = [
-        CheckRecord("prop22", (3,), 2, 5, Valuation(1)),
-        CheckRecord("conj12", (3, 1), 5, 90, Valuation(70)),
-        CheckRecord("conj12", (0, 0), 3, 9, INFINITE),
-        CheckRecord("conj25", (4,), 5, 1, Valuation(200)),
-        CheckRecord('quo"te\\\u00e9', (1,), 3, 1, Valuation(0)),
-    ]
+    # every shape above, then empty checks, summary and stats
+    recs = SHAPE_RECORDS
     report = CongruenceReport(7, recs)
     text = report.to_json_text()
     assert text == json_oracle(report)
@@ -505,9 +511,38 @@ def test_json_text_covers_every_shape():
     corner = CongruenceReport(7, recs[1:3])
     assert corner.to_json_text() == json_oracle(corner)
     assert corner.to_json_text().endswith('"stats": {}\n}\n')
-    assert CongruenceReport(5).to_json_text() == (
+    assert CongruenceReport(5, []).to_json_text() == (
         '{\n  "ell": 5,\n  "checks": [],\n  "summary": {},\n  "stats": {}\n}\n'
     )
+
+
+def test_text_report_pinned():
+    # check's text report byte for byte: FAIL lines, tallies, notes, verdict
+    assert CongruenceReport(7, SHAPE_RECORDS[:4]).to_text() == (
+        "FAIL prop22 [3]: ord_2 = 1, required 5 (FATAL)\n"
+        "FAIL conj12 [3,1]: ord_5 = 70, required 90 (COUNTEREXAMPLE)\n"
+        "conj12: 2 checked, 1 failed\n"
+        "conj25: 1 checked, 0 failed\n"
+        "prop22: 1 checked, 1 failed\n"
+        "note: unclaimed_mod8_indivisible_by_2: 0 of 0\n"
+        "result: FATAL (1 proved statements failed)\n"
+    )
+    assert CongruenceReport(7, SHAPE_RECORDS[1:3]).to_text() == (
+        "FAIL conj12 [3,1]: ord_5 = 70, required 90 (COUNTEREXAMPLE)\n"
+        "conj12: 2 checked, 1 failed\n"
+        "result: COUNTEREXAMPLE (1 conjectural statements failed)\n"
+    )
+    assert CongruenceReport(7, []).to_text() == "result: OK\n"
+
+
+def test_verdict_ranks_fatal_over_counterexample_over_ok():
+    fatal, counterexample, passing = SHAPE_RECORDS[:3]
+    assert CongruenceReport(7, [counterexample, fatal, passing]).verdict == "FATAL"
+    prop23 = CheckRecord("prop23", (2,), 3, 2, Valuation(1))
+    assert CongruenceReport(7, [passing, prop23, counterexample]).verdict == "FATAL"
+    assert CongruenceReport(7, [passing, counterexample]).verdict == "COUNTEREXAMPLE"
+    assert CongruenceReport(7, SHAPE_RECORDS[2:4]).verdict == "OK"
+    assert CongruenceReport(7, []).verdict == "OK"
 
 
 @pytest.mark.parametrize("ell", primes_upto(199))

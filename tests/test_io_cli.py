@@ -34,57 +34,56 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_parse_basic_lines():
-    parsed = parse_sutherland("[2,2] -1\n[1,0] 42\n", ell=2)
+    parsed = parse_sutherland("[2,2] -1\n[1,0] 42\n")
     assert parsed.ell == 2
     assert parsed.lines == ((2, 2, -1), (1, 0, 42))
 
 
 def test_parse_tolerates_whitespace_comments_crlf():
     text = "# a comment\r\n\r\n  [ 2 , 2 ]   -1\r\n[1,0] +42  \r\n# trailing\r\n"
-    parsed = parse_sutherland(text, ell=2)
+    parsed = parse_sutherland(text)
     assert parsed.lines == ((2, 2, -1), (1, 0, 42))
 
 
 def test_parse_accepts_bytes_and_huge_values():
     big = PHI5_FACTORED[(0, 0)]
-    parsed = parse_sutherland(("[0,0] %d\n[5,5] -1\n" % big).encode(), ell=5)
+    parsed = parse_sutherland(("[0,0] %d\n[5,5] -1\n" % big).encode())
     assert parsed.lines[0] == (0, 0, big)
 
 
 def test_parse_malformed_line_reports_line_number():
     with pytest.raises(SutherlandParseError) as info:
-        parse_sutherland("[2,2] -1\n[1,0]42\n", ell=2)
+        parse_sutherland("[2,2] -1\n[1,0]42\n")
     assert info.value.line_number == 2
     assert "line 2" in str(info.value)
 
 
 def test_parse_rejects_duplicates():
     with pytest.raises(SutherlandParseError) as info:
-        parse_sutherland("[1,0] 3\n[1,0] 3\n", ell=2)
+        parse_sutherland("[1,0] 3\n[1,0] 3\n")
     assert "duplicate" in str(info.value)
 
 
 def test_parse_rejects_symmetry_conflict():
     with pytest.raises(SutherlandParseError) as info:
-        parse_sutherland("[1,0] 3\n[0,1] 4\n", ell=2)
+        parse_sutherland("[1,0] 3\n[0,1] 4\n")
     assert "symmetry conflict" in str(info.value)
 
 
 def test_parse_allows_consistent_mirror_entries():
-    parsed = parse_sutherland("[1,0] 3\n[0,1] 3\n[2,2] -1\n", ell=2)
+    parsed = parse_sutherland("[1,0] 3\n[0,1] 3\n[2,2] -1\n")
     assert parsed.to_polynomial().get(0, 1) == 3
 
 
 def test_parse_rejects_empty_input():
     with pytest.raises(SutherlandParseError):
-        parse_sutherland("# only comments\n", ell=2)
+        parse_sutherland("# only comments\n")
 
 
 def test_level_inference_chain():
     body = "[3,0] 1\n[2,2] -1\n[1,0] 7\n"
-    # explicit argument wins
-    assert parse_sutherland(body, ell=2).ell == 2
-    # then a header comment
+    # a header comment wins, even over the boundary entry
+    assert parse_sutherland("# ell = 3\n" + body).ell == 3
     assert parse_sutherland("# ell = 2\n" + body).ell == 2
     assert parse_sutherland("# Level: 2\n" + body).ell == 2
     # then the monic boundary entry [M,0] 1
@@ -95,12 +94,12 @@ def test_level_inference_chain():
 
 
 def test_to_polynomial_drops_boundary_and_rejects_junk():
-    parsed = parse_sutherland("[3,0] 1\n[2,2] -1\n", ell=2)
+    parsed = parse_sutherland("[3,0] 1\n[2,2] -1\n")
     assert parsed.to_polynomial().get(2, 2) == -1
-    bad = parse_sutherland("[3,1] 1\n[2,2] -1\n", ell=2)
+    bad = parse_sutherland("# ell = 2\n[3,1] 1\n[2,2] -1\n")
     with pytest.raises(SutherlandParseError):
         bad.to_polynomial()
-    wrong_value = parse_sutherland("[3,0] 2\n[2,2] -1\n", ell=2)
+    wrong_value = parse_sutherland("# ell = 2\n[3,0] 2\n[2,2] -1\n")
     with pytest.raises(SutherlandParseError):
         wrong_value.to_polynomial()
 
@@ -525,8 +524,9 @@ def test_cli_check_out_keeps_text_summary(tmp_path, capsys):
 
 def test_cli_check_builds_only_the_report_it_writes(tmp_path, capsys, monkeypatch):
     built = []
-    report_text, to_json_text = io_cli._report_text, io_cli.CongruenceReport.to_json_text
-    monkeypatch.setattr(io_cli, "_report_text", lambda r: built.append("text") or report_text(r))
+    to_text, to_json_text = io_cli.CongruenceReport.to_text, io_cli.CongruenceReport.to_json_text
+    monkeypatch.setattr(io_cli.CongruenceReport, "to_text",
+                        lambda r: built.append("text") or to_text(r))
     monkeypatch.setattr(io_cli.CongruenceReport, "to_json_text",
                         lambda r: built.append("json") or to_json_text(r))
     # the JSON is written from the records: no dict is built on the way
