@@ -46,7 +46,6 @@ from .congruence import (
     ROW_CHECKS,
     CheckRecord,
     CongruenceReport,
-    Valuation,
     check_conjecture_div,
     check_row,
     five_predicted,
@@ -78,7 +77,7 @@ __all__ = [
     "InconsistentSystemError", "ModularPolynomial", "coeff_recurrence", "d_weight",
     "polynomial_residual", "recurrence_row", "solve_full_polynomial", "verify_d_recurrence",
     "ALL_CHECKS", "INFINITE", "ROW_CHECKS", "CheckRecord", "CongruenceReport",
-    "Valuation", "check_conjecture_div", "check_row", "five_predicted", "ord_p",
+    "check_conjecture_div", "check_row", "five_predicted", "ord_p",
     "required_three_valuation", "required_two_valuation",
     "SutherlandFile", "SutherlandParseError", "UsageError", "cli_main",
     "emit_polynomial_json", "emit_sutherland_text", "load_sutherland",

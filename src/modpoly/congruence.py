@@ -14,7 +14,9 @@ largest power of p below one CPython int digit for p = 3, 5 (3^18, 5^12
 on 64-bit CPython) and p itself otherwise: while p^k divides x it is
 divided out, and the rest of e is read off the remainder x % p^k, so a
 valuation e costs O(e/k) divisions, each by one digit when p^k fits one.
-Valuations and verdicts are immutable named tuples.
+A valuation is a plain int, or INFINITE (``math.inf``) for x = 0, so it
+compares with ``>=`` and prints as ``inf``.  Records and reports are
+immutable named tuples.
 
 Checkers never raise on a failed comparison; they record verdicts so a
 sweep can aggregate.  Zero coefficients have INFINITE valuation and pass
@@ -24,6 +26,7 @@ everything vacuously.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
@@ -41,31 +44,14 @@ _THREE_REQUIRED = (0, 1, 2)
 _FIVE_CLASS = {1: 4, 3: 4, 2: 3, 4: 2}
 
 
-class Valuation(NamedTuple):
-    """ord_p of an integer; value None stands for INFINITE (input 0)."""
-
-    value: int | None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def at_least(self, bound: int) -> bool:
-        return self.value is None or self.value >= bound
-
-    def __str__(self):
-        return "inf" if self.value is None else str(self.value)
-
-
-INFINITE = Valuation(None)
-_VALUATIONS = tuple(Valuation(e) for e in range(64))
+INFINITE = math.inf  # ord_p(0, p)
 # For p = 3, 5: k, the largest exponent with p^k below one CPython int digit, and p^k.
 _DIGIT = 1 << sys.int_info.bits_per_digit
 _DIGIT_EXPONENTS = {p: max(k for k in range(64) if p ** k < _DIGIT) for p in (3, 5)}
 _DIGIT_POWERS = {p: p ** k for p, k in _DIGIT_EXPONENTS.items()}
 
 
-def ord_p(x: int, p: int) -> Valuation:
+def ord_p(x: int, p: int) -> int | float:
     """Largest e with p^e dividing x; INFINITE when x is 0.
 
     x and p must be ints (a bool counts as one); a float, even an
@@ -77,7 +63,7 @@ def ord_p(x: int, p: int) -> Valuation:
         raise TypeError("p must be an integer, got %r" % (p,))
     if p == 2:
         e = (x & -x).bit_length() - 1  # -1 for x = 0
-        return INFINITE if e < 0 else _VALUATIONS[e] if e < 64 else Valuation(e)
+        return INFINITE if e < 0 else e
     pk = _DIGIT_POWERS.get(p)
     if pk is None:
         if not is_prime(p):
@@ -98,7 +84,7 @@ def ord_p(x: int, p: int) -> Valuation:
     while not r % p:
         r //= p
         e += 1
-    return _VALUATIONS[e] if e < 64 else Valuation(e)
+    return e
 
 
 def required_two_valuation(m: int) -> int:
@@ -127,11 +113,11 @@ class CheckRecord(NamedTuple):
     index: tuple          # (m,) for row checks, (m, n) for corner checks
     prime: int
     required: int
-    observed: Valuation
+    observed: int | float  # an int, or INFINITE
 
     @property
     def passed(self) -> bool:
-        return self.observed.at_least(self.required)
+        return self.observed >= self.required
 
     @property
     def severity(self) -> str:
@@ -196,15 +182,12 @@ class CongruenceReport(NamedTuple("CongruenceReport", [("ell", int), ("records",
             if key is not None:
                 hit, total = out.get(key, (0, 0))
                 if rec.required == 0:
-                    hit, total = hit + (rec.observed.value == 0), total + 1
+                    hit, total = hit + (rec.observed == 0), total + 1
                 out[key] = (hit, total)
         return out
 
-    def failures(self, severity: str | None = None) -> list:
-        return [
-            r for r in self.records
-            if not r.passed and (severity is None or r.severity == severity)
-        ]
+    def failures(self) -> list:
+        return [r for r in self.records if not r.passed]
 
     @property
     def verdict(self) -> str:

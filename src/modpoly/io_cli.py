@@ -89,7 +89,8 @@ def parse_sutherland(text) -> SutherlandFile:
     ``text`` may be str or UTF-8 bytes; LF and CRLF both work.  The level
     is taken from a "# ell = N" header comment if there is one, else from
     the entry indices themselves (a boundary entry [M,0] with value 1 puts
-    the level at M-1, otherwise at the largest m seen).
+    the level at M-1, otherwise at the largest m seen).  Headers that give
+    two different levels raise SutherlandParseError.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
@@ -102,8 +103,13 @@ def parse_sutherland(text) -> SutherlandFile:
             continue
         if line.startswith("#"):
             got = _HEADER_ELL_RE.match(line)
-            if got and header_ell is None:
-                header_ell = int(got.group(1))
+            if got:
+                stated = int(got.group(1))
+                if header_ell not in (None, stated):
+                    raise SutherlandParseError(
+                        "header gives level %d but an earlier one gave %d" % (stated, header_ell),
+                        lineno)
+                header_ell = stated
             continue
         got = _LINE_RE.match(raw)
         if not got:

@@ -1,7 +1,8 @@
-"""Valuation arithmetic and the divisibility checkers."""
+"""p-adic valuations and the divisibility checkers."""
 
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -15,7 +16,6 @@ from modpoly import (
     CheckRecord,
     CongruenceReport,
     ModularPolynomial,
-    Valuation,
     check_conjecture_div,
     check_row,
     cli_main,
@@ -40,7 +40,7 @@ def naive_ord(x, p):
     while x % p == 0:
         x //= p
         e += 1
-    return Valuation(e)
+    return e
 
 
 def naive_check_row(ell, row, checks=ROW_CHECKS):
@@ -72,18 +72,18 @@ def naive_conjecture_div(poly):
 
 
 def test_ord_examples():
-    assert ord_p(3720, 2) == Valuation(3)
+    assert ord_p(3720, 2) == 3
     assert ord_p(0, 3) == INFINITE
-    assert ord_p(2028551200, 5) == Valuation(2)
+    assert ord_p(2028551200, 5) == 2
 
 
 def test_ord_of_negative():
-    assert ord_p(-246683410950, 2) == Valuation(1)
-    assert ord_p(-246683410950, 5) == Valuation(2)
+    assert ord_p(-246683410950, 2) == 1
+    assert ord_p(-246683410950, 5) == 2
 
 
 def test_ord_large_power():
-    assert ord_p(2 ** 1000 * 3, 2) == Valuation(1000)
+    assert ord_p(2 ** 1000 * 3, 2) == 1000
 
 
 def test_ord_requires_prime():
@@ -108,11 +108,11 @@ def test_ord_requires_an_integer():
     with pytest.raises(TypeError):
         ord_p(8.0, 2)
     # bool is an int
-    assert ord_p(True, 3) == Valuation(0)
-    assert ord_p(True, 2) == Valuation(0)
+    assert ord_p(True, 3) == 0
+    assert ord_p(True, 2) == 0
     assert ord_p(False, 5) == INFINITE
     for p in (2, 3, 5, 7, 11, 13):
-        assert ord_p(True, p) == naive_ord(True, p) == Valuation(0)
+        assert ord_p(True, p) == naive_ord(True, p) == 0
         assert ord_p(False, p) == naive_ord(False, p) == INFINITE
     # so must p: float division would grade 3^40 * 7 as 1 and 7^30 as 0
     for x, p in ((3 ** 40 * 7, 3.0), (7 ** 30, 7.0), (5 ** 30, 5.0), (2 ** 70, 2.0), (0, 3.0)):
@@ -125,10 +125,10 @@ def test_ord_requires_an_integer():
 
 
 def test_ord_high_powers_of_odd_primes():
-    assert ord_p(3 ** 500 * 7, 3) == Valuation(500)
-    assert ord_p(-(5 ** 130), 5) == Valuation(130)
+    assert ord_p(3 ** 500 * 7, 3) == 500
+    assert ord_p(-(5 ** 130), 5) == 130
     for e in (63, 64, 65, 127, 128, 129, 255, 256):
-        assert ord_p(-(3 ** e) * 2, 3) == Valuation(e), e
+        assert ord_p(-(3 ** e) * 2, 3) == e, e
 
 
 # Units coprime to 2, 3 and 5: small, one int digit wide, and far wider.
@@ -144,7 +144,7 @@ def test_ord_every_small_valuation_matches_naive_oracle(p):
             if u % p == 0:
                 continue
             for x in (p ** e * u, -(p ** e) * u):
-                assert ord_p(x, p) == naive_ord(x, p) == Valuation(e), (e, u)
+                assert ord_p(x, p) == naive_ord(x, p) == e, (e, u)
 
 
 # 65537 fits one 30-bit int digit though its square does not; 2^31 - 1 is
@@ -156,7 +156,7 @@ def test_ord_past_the_shared_valuations_matches_naive_oracle(p):
             if u % p == 0:
                 continue
             x = p ** e * u
-            assert ord_p(x, p) == ord_p(-x, p) == naive_ord(x, p) == Valuation(e), (e, u)
+            assert ord_p(x, p) == ord_p(-x, p) == naive_ord(x, p) == e, (e, u)
 
 
 @given(
@@ -169,7 +169,7 @@ def test_ord_matches_naive_oracle(p, e, u, negative):
     if u % p == 0:
         u += 1
     x = (-1 if negative else 1) * p ** e * u
-    assert ord_p(x, p) == naive_ord(x, p) == Valuation(e)
+    assert ord_p(x, p) == naive_ord(x, p) == e
 
 
 nonzero = st.integers(-10 ** 12, 10 ** 12).filter(lambda n: n != 0)
@@ -177,42 +177,43 @@ nonzero = st.integers(-10 ** 12, 10 ** 12).filter(lambda n: n != 0)
 
 @given(x=nonzero, y=nonzero, p=st.sampled_from([2, 3, 5, 7, 11, 13]))
 def test_ord_multiplicative(x, y, p):
-    assert ord_p(x * y, p).value == ord_p(x, p).value + ord_p(y, p).value
+    assert ord_p(x * y, p) == ord_p(x, p) + ord_p(y, p)
 
 
 @given(x=nonzero, y=nonzero, p=st.sampled_from([2, 3, 5]))
 def test_ord_ultrametric(x, y, p):
     if x + y == 0:
         return
-    assert ord_p(x + y, p).value >= min(ord_p(x, p).value, ord_p(y, p).value)
+    assert ord_p(x + y, p) >= min(ord_p(x, p), ord_p(y, p))
 
 
-def test_valuation_comparisons():
-    assert INFINITE.is_infinite
-    assert INFINITE.at_least(10 ** 9)
-    assert Valuation(3).at_least(3)
-    assert not Valuation(3).at_least(4)
-    assert str(INFINITE) == "inf"
-    assert str(Valuation(7)) == "7"
+def test_valuations_are_plain_ints():
+    # an int for every nonzero x, small or large, bools included; INFINITE for 0
+    for p in (2, 3, 5, 7):
+        for e in (0, 63, 64, 300):
+            assert type(ord_p(p ** e * 11, p)) is int, (p, e)
+            assert type(ord_p(-(p ** e) * 11, p)) is int, (p, e)
+        assert type(ord_p(True, p)) is int
+        assert ord_p(0, p) is INFINITE
+        assert ord_p(False, p) is INFINITE
+    assert INFINITE == math.inf and str(INFINITE) == "inf"
+    assert CheckRecord("conj12", (0, 0), 2, 10 ** 9, INFINITE).passed
+    assert not CheckRecord("conj12", (0, 0), 2, 10 ** 9, 10 ** 9 - 1).passed
 
 
 def test_records_are_immutable_tuples():
-    rec = CheckRecord("prop22", (1,), 2, 3, Valuation(3))
-    assert rec == CheckRecord("prop22", (1,), 2, 3, Valuation(3))
-    assert rec != CheckRecord("prop22", (1,), 2, 3, Valuation(4))
+    rec = CheckRecord("prop22", (1,), 2, 3, 3)
+    assert rec == CheckRecord("prop22", (1,), 2, 3, 3)
+    assert rec != CheckRecord("prop22", (1,), 2, 3, 4)
     assert str(rec) == (
         "CheckRecord(check='prop22', index=(1,), prime=2, required=3, "
-        "observed=Valuation(value=3))"
+        "observed=3)"
     )
     assert rec.passed and rec.severity == "FATAL"
     with pytest.raises(AttributeError):
         rec.observed = INFINITE
     with pytest.raises(AttributeError):
         rec.required = 0
-    with pytest.raises(AttributeError):
-        Valuation(3).value = 4
-    with pytest.raises(AttributeError):
-        INFINITE.value = 0
 
 
 # --- required valuation tables --------------------------------------------
@@ -287,13 +288,18 @@ def test_check_row_level_five_all_pass():
 def test_check_row_computed_level_31():
     row = recurrence_row(31, j_coefficients(31))[1:]
     report = check_row(31, row)
-    assert not report.failures("FATAL")
+    assert not [r for r in report.failures() if r.severity == "FATAL"]
 
 
 def test_check_row_zero_row_vacuous():
     report = check_row(7, [0] * 7)
     assert not report.failures()
-    assert all(r.observed.is_infinite for r in report.records)
+    assert all(r.observed == INFINITE for r in report.records)
+    # INFINITE is not 0, so no unclaimed class counts as indivisible
+    assert check_row(17, [0] * 17).stats == {"unclaimed_mod8_indivisible_by_2": (0, 2),
+                                             "unclaimed_mod3_indivisible_by_3": (0, 5)}
+    assert check_row(17, [1] * 17).stats == {"unclaimed_mod8_indivisible_by_2": (2, 2),
+                                             "unclaimed_mod3_indivisible_by_3": (5, 5)}
 
 
 def test_check_row_requires_full_row():
@@ -306,9 +312,9 @@ def test_check_row_requires_full_row():
 def test_check_row_severity_labels():
     # a row of 2-, 3-, 5-free values fails everything that is claimed
     report = check_row(7, [11] * 7)
-    fatal = report.failures("FATAL")
+    fatal = [r for r in report.failures() if r.severity == "FATAL"]
     assert fatal and all(r.check in ("prop22", "prop23") for r in fatal)
-    counter = report.failures("COUNTEREXAMPLE")
+    counter = [r for r in report.failures() if r.severity == "COUNTEREXAMPLE"]
     assert counter and all(r.check == "conj25" for r in counter)
     assert set(report.failures()) == set(fatal) | set(counter)
 
@@ -330,7 +336,7 @@ def test_check_row_refuses_unknown_check_names(checks):
 def test_check_row_skips_two_adic_table_for_level_two():
     report = check_row(2, [1488, -162000])
     assert all(r.check != "prop22" for r in report.records)
-    assert not report.failures("FATAL")
+    assert not [r for r in report.failures() if r.severity == "FATAL"]
 
 
 def test_check_row_stats_tally_unclaimed_classes():
@@ -353,9 +359,9 @@ def test_conjecture_div_level_five_corner():
     assert not report.failures()
     by_key = {(r.index, r.prime): r for r in report.records}
     corner2 = by_key[((0, 0), 2)]
-    assert corner2.required == 90 and corner2.observed == Valuation(90)
+    assert corner2.required == 90 and corner2.observed == 90
     edge2 = by_key[((4, 1), 2)]
-    assert edge2.required == 15 and edge2.observed == Valuation(20)
+    assert edge2.required == 15 and edge2.observed == 20
     # level 5 makes no claim about its own prime
     assert all(r.prime != 5 for r in report.records)
 
@@ -368,7 +374,7 @@ def test_conjecture_div_level_seven_all_pass():
     by_key = {(r.index, r.prime): r for r in report.records}
     assert by_key[((0, 0), 3)].required == 36  # c = 8
     assert by_key[((0, 0), 2)].required == 120
-    assert by_key[((0, 0), 2)].observed.is_infinite  # a_{0,0} = 0
+    assert by_key[((0, 0), 2)].observed == INFINITE  # a_{0,0} = 0
 
 
 def test_conjecture_div_detects_violation():
@@ -471,7 +477,7 @@ def json_oracle(report):
     return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
-valuations = st.one_of(st.just(INFINITE), st.integers(0, 300).map(Valuation))
+valuations = st.one_of(st.just(INFINITE), st.integers(0, 300))
 records = st.builds(
     CheckRecord,
     check=st.one_of(st.sampled_from(ALL_CHECKS), st.text(max_size=8)),
@@ -492,11 +498,11 @@ def test_json_text_matches_json_dumps(ell, recs):
 # Fail verdicts of both severities, INFINITE and a valuation past 64, row
 # and corner indices, and a check name that JSON must escape.
 SHAPE_RECORDS = [
-    CheckRecord("prop22", (3,), 2, 5, Valuation(1)),
-    CheckRecord("conj12", (3, 1), 5, 90, Valuation(70)),
+    CheckRecord("prop22", (3,), 2, 5, 1),
+    CheckRecord("conj12", (3, 1), 5, 90, 70),
     CheckRecord("conj12", (0, 0), 3, 9, INFINITE),
-    CheckRecord("conj25", (4,), 5, 1, Valuation(200)),
-    CheckRecord('quo"te\\\u00e9', (1,), 3, 1, Valuation(0)),
+    CheckRecord("conj25", (4,), 5, 1, 200),
+    CheckRecord('quo"te\\\u00e9', (1,), 3, 1, 0),
 ]
 
 
@@ -538,7 +544,7 @@ def test_text_report_pinned():
 def test_verdict_ranks_fatal_over_counterexample_over_ok():
     fatal, counterexample, passing = SHAPE_RECORDS[:3]
     assert CongruenceReport(7, [counterexample, fatal, passing]).verdict == "FATAL"
-    prop23 = CheckRecord("prop23", (2,), 3, 2, Valuation(1))
+    prop23 = CheckRecord("prop23", (2,), 3, 2, 1)
     assert CongruenceReport(7, [passing, prop23, counterexample]).verdict == "FATAL"
     assert CongruenceReport(7, [passing, counterexample]).verdict == "COUNTEREXAMPLE"
     assert CongruenceReport(7, SHAPE_RECORDS[2:4]).verdict == "OK"

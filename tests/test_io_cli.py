@@ -93,6 +93,16 @@ def test_level_inference_chain():
     assert parse_sutherland("[5,5] -1\n").ell == 5
 
 
+def test_parse_refuses_two_different_header_levels():
+    body = "[3,0] 1\n[2,2] -1\n[1,0] 7\n"
+    with pytest.raises(SutherlandParseError) as info:
+        parse_sutherland("# ell = 2\n[2,2] -1\n# ell = 3\n[1,0] 7\n")
+    assert info.value.line_number == 3
+    assert "level 3" in str(info.value) and "gave 2" in str(info.value)
+    # a repeated equal header is accepted, in any spelling
+    assert parse_sutherland("# ell = 2\n# Level: 2\n" + body).ell == 2
+
+
 def test_to_polynomial_drops_boundary_and_rejects_junk():
     parsed = parse_sutherland("[3,0] 1\n[2,2] -1\n")
     assert parsed.to_polynomial().get(2, 2) == -1
@@ -459,6 +469,25 @@ def test_cli_check_file_level_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--ell", "7", "--file", str(path))
     assert code == 2
     assert "level" in err
+
+
+@pytest.mark.parametrize("headers", [("5", "7"), ("7", "5")])
+def test_cli_check_file_refuses_conflicting_headers(tmp_path, capsys, headers):
+    # the first header alone once decided the level, so 5 then 7 passed as level 5
+    path = tmp_path / "phi5.txt"
+    path.write_text("# ell = %s\n# ell = %s\n" % headers + emit_sutherland_text(PHI5))
+    code, out, err = run_cli(capsys, "check", "--ell", "5", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: header gives level %s but an earlier one gave %s\n" % headers[::-1]
+
+
+def test_cli_check_file_accepts_a_repeated_equal_header(tmp_path, capsys):
+    plain, headed = tmp_path / "plain.txt", tmp_path / "headed.txt"
+    plain.write_text(emit_sutherland_text(PHI5))
+    headed.write_text("# ell = 5\n# ell = 5\n" + emit_sutherland_text(PHI5))
+    got = run_cli(capsys, "check", "--ell", "5", "--file", str(headed))
+    assert got == run_cli(capsys, "check", "--ell", "5", "--file", str(plain))
+    assert got[0] == 0 and "result: OK" in got[1]
 
 
 def test_cli_check_file_level_ignores_digits_in_the_file_name(tmp_path, capsys):
