@@ -8,7 +8,7 @@ hypergeometric series that needs no j table at all.  It checks p-adic
 divisibility patterns of the results.
 """
 
-from .qseries import IntSeries, PrecisionError
+from .qseries import IntegralityError, IntSeries, PrecisionError
 from .jfun import JTable, delta_series, e4_series, euler_factor_series, j_coefficients
 from .comb import (
     PartitionTerm,
@@ -22,7 +22,6 @@ from .comb import (
 )
 from .closedform import (
     CoeffRequest,
-    IntegralityError,
     closed_row,
     coeff_closed,
     coeff_small_m,

@@ -61,9 +61,9 @@ import math
 import operator
 from typing import NamedTuple
 
-from .comb import PartitionTerm, binomial, is_prime, partitions
+from .comb import PartitionTerm, _require_prime, binomial, partitions
 from .jfun import JTable
-from .qseries import IntegralityError, _exact_quotient
+from .qseries import _exact_quotient
 
 
 class CoeffRequest(NamedTuple("CoeffRequest", [("ell", int), ("m", int)])):
@@ -72,13 +72,17 @@ class CoeffRequest(NamedTuple("CoeffRequest", [("ell", int), ("m", int)])):
     __slots__ = ()
 
     def __new__(cls, ell: int, m: int):
-        if not is_prime(ell):
-            raise ValueError("ell must be prime, got %r" % (ell,))
+        _require_prime(ell)
         if not 0 <= m <= ell:
             raise ValueError("m must lie in [0, ell], got m=%r for ell=%d" % (m, ell))
         return super().__new__(cls, ell, m)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
+
+
+def _row_bound(ell: int, m_max: int | None) -> int:
+    """A row route's m_max, ell when None, validated with ell as a CoeffRequest."""
+    return CoeffRequest(ell, ell if m_max is None else m_max).m
 
 
 def _weight_numerator(ell: int, m: int, u: int) -> int:
@@ -115,10 +119,7 @@ def partition_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     Same values, and on a remainder the same IntegralityError, as
     [coeff_closed(CoeffRequest(ell, m), j) for m in 0..m_max].
     """
-    if m_max is None:
-        m_max = ell
-    CoeffRequest(ell, m_max)  # validates ell and m_max
-    return _partition_sums(ell, j, 1, m_max)
+    return _partition_sums(ell, j, 1, _row_bound(ell, m_max))
 
 
 def _partition_sums(ell: int, j: JTable, lo: int, hi: int) -> list:
@@ -186,9 +187,7 @@ def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     by _exact_quotient; a remainder raises IntegralityError.  Same values as
     [coeff_closed(CoeffRequest(ell, m), j) for m in 0..m_max].
     """
-    if m_max is None:
-        m_max = ell
-    CoeffRequest(ell, m_max)  # validates ell and m_max
+    m_max = _row_bound(ell, m_max)
     j.require(m_max)
     J = [0] + list(j.values[1 : m_max + 1])  # J[r] = c_{r-1}
     row = [-1] + [0] * m_max
@@ -224,9 +223,7 @@ def hypergeometric_row(ell: int, m_max: int | None = None) -> list:
     or the solver beyond _exact_quotient's divmod, which checks every
     division, in B_k and in y_m; a remainder raises IntegralityError.
     """
-    if m_max is None:
-        m_max = ell
-    CoeffRequest(ell, m_max)  # validates ell and m_max
+    m_max = _row_bound(ell, m_max)
     n = m_max + 1
     B = [1]
     for k in range(1, n):
@@ -250,36 +247,34 @@ def coeff_small_m(req: CoeffRequest, j: JTable) -> int:
 
     These are the partition sums written out monomial by monomial, kept as
     an independently typed-up form: they share no code with coeff_closed,
-    and the tests read them as one more oracle for the first few m.
+    and the tests read them as one more oracle for the first few m.  Each
+    is summed in integers times its denominator (2 at m = 4, 6 at m = 6,
+    else 1), then divided once by _exact_quotient, which checks it.
     """
-    ell, m = req.ell, req.m
+    L, m = req
     if m < 1 or m > 7:
         raise ValueError("small-m path covers 1 <= m <= 7, got m=%d" % m)
-    if m >= ell:
-        raise ValueError("small-m path needs m < ell, got m=%d, ell=%d" % (m, ell))
+    if m >= L:
+        raise ValueError("small-m path needs m < ell, got m=%d, ell=%d" % (m, L))
     j.require(m)
-    L = ell
-    c0 = j[0]
+    c0, c1, c2, c3, c4, c5, c6 = [j[i] for i in range(m)] + [0] * (7 - m)
+    den = 1
     if m == 1:
-        return L * c0
-    c1 = j[1]
-    if m == 2:
-        return L * c1 - binomial(L, 2) * c0 ** 2
-    c2 = j[2]
-    if m == 3:
-        return L * c2 - L * (L - 2) * c0 * c1 + binomial(L, 3) * c0 ** 3
-    c3 = j[3]
-    from fractions import Fraction  # this oracle alone needs it; importing modpoly stays lean
-    if m == 4:
-        v = (
-            L * c3
-            - L * (L - 3) * (Fraction(c1 * c1, 2) + c0 * c2)
-            + L * binomial(L - 2, 2) * c0 ** 2 * c1
-            - binomial(L, 4) * c0 ** 4
+        num = L * c0
+    elif m == 2:
+        num = L * c1 - binomial(L, 2) * c0 ** 2
+    elif m == 3:
+        num = L * c2 - L * (L - 2) * c0 * c1 + binomial(L, 3) * c0 ** 3
+    elif m == 4:
+        den = 2
+        num = (
+            2 * L * c3
+            - L * (L - 3) * (c1 * c1 + 2 * c0 * c2)
+            + 2 * L * binomial(L - 2, 2) * c0 ** 2 * c1
+            - 2 * binomial(L, 4) * c0 ** 4
         )
     elif m == 5:
-        c4 = j[4]
-        v = Fraction(
+        num = (
             L * c4
             - L * (L - 4) * (c0 * c3 + c1 * c2)
             + L * binomial(L - 3, 2) * (c0 ** 2 * c2 + c0 * c1 ** 2)
@@ -287,18 +282,17 @@ def coeff_small_m(req: CoeffRequest, j: JTable) -> int:
             + binomial(L, 5) * c0 ** 5
         )
     elif m == 6:
-        c4, c5 = j[4], j[5]
-        v = (
-            L * c5
-            - L * (L - 5) * (c4 * c0 + c3 * c1 + Fraction(c2 * c2, 2))
-            + L * binomial(L - 4, 2) * (c3 * c0 ** 2 + 2 * c2 * c1 * c0 + Fraction(c1 ** 3, 3))
-            - L * binomial(L - 3, 3) * (c2 * c0 ** 3 + Fraction(3 * c1 ** 2 * c0 ** 2, 2))
-            + L * binomial(L - 2, 4) * c1 * c0 ** 4
-            - binomial(L, 6) * c0 ** 6
+        den = 6
+        num = (
+            6 * L * c5
+            - L * (L - 5) * (6 * c4 * c0 + 6 * c3 * c1 + 3 * c2 * c2)
+            + L * binomial(L - 4, 2) * (6 * c3 * c0 ** 2 + 12 * c2 * c1 * c0 + 2 * c1 ** 3)
+            - L * binomial(L - 3, 3) * (6 * c2 * c0 ** 3 + 9 * c1 ** 2 * c0 ** 2)
+            + 6 * L * binomial(L - 2, 4) * c1 * c0 ** 4
+            - 6 * binomial(L, 6) * c0 ** 6
         )
     else:
-        c4, c5, c6 = j[4], j[5], j[6]
-        v = Fraction(
+        num = (
             L * c6
             - L * (L - 6) * (c2 * c3 + c0 * c5 + c1 * c4)
             + L * binomial(L - 5, 2) * (c0 ** 2 * c4 + 2 * c0 * c1 * c3 + c1 ** 2 * c2 + c0 * c2 ** 2)
@@ -307,6 +301,4 @@ def coeff_small_m(req: CoeffRequest, j: JTable) -> int:
             - L * binomial(L - 2, 5) * c0 ** 5 * c1
             + binomial(L, 7) * c0 ** 7
         )
-    if v.denominator != 1:
-        raise IntegralityError("expanded form for m=%d did not reduce to an integer" % m)
-    return int(v)
+    return _exact_quotient(num, den, "expanded form for m=%d", m)

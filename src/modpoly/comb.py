@@ -140,6 +140,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(ell) -> None:
+    if not is_prime(ell):
+        raise ValueError("ell must be prime, got %r" % (ell,))
+
+
 def primes_upto(n: int) -> list:
     if n < 2:
         return []

@@ -31,7 +31,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
-from .comb import is_prime
+from .comb import _require_prime, is_prime
 from .recurrence import ModularPolynomial
 
 ROW_CHECKS = ("prop22", "prop23", "conj25")
@@ -162,29 +162,30 @@ class CongruenceReport(NamedTuple("CongruenceReport", [("ell", int), ("records",
 
     __slots__ = ()
 
+    def _walk(self) -> tuple:
+        """(passed per record, summary, stats) from one walk, reading each record's passed once."""
+        flags, summary, stats = [], {}, {}
+        for rec in self.records:
+            ok = rec.passed
+            flags.append(ok)
+            passed, failed = summary.get(rec.check, (0, 0))
+            summary[rec.check] = (passed + 1, failed) if ok else (passed, failed + 1)
+            key = _UNCLAIMED_STATS.get(rec.check)
+            if key is not None:
+                hit, total = stats.get(key, (0, 0))
+                if rec.required == 0:
+                    hit, total = hit + (rec.observed == 0), total + 1
+                stats[key] = (hit, total)
+        return flags, summary, stats
+
     @property
     def summary(self) -> dict:
-        out = {}
-        for rec in self.records:
-            passed, failed = out.get(rec.check, (0, 0))
-            if rec.passed:
-                out[rec.check] = (passed + 1, failed)
-            else:
-                out[rec.check] = (passed, failed + 1)
-        return out
+        return self._walk()[1]
 
     @property
     def stats(self) -> dict:
         """(indivisible, total) over the unclaimed classes of each row check run."""
-        out = {}
-        for rec in self.records:
-            key = _UNCLAIMED_STATS.get(rec.check)
-            if key is not None:
-                hit, total = out.get(key, (0, 0))
-                if rec.required == 0:
-                    hit, total = hit + (rec.observed == 0), total + 1
-                out[key] = (hit, total)
-        return out
+        return self._walk()[2]
 
     def failures(self) -> list:
         return [r for r in self.records if not r.passed]
@@ -192,45 +193,53 @@ class CongruenceReport(NamedTuple("CongruenceReport", [("ell", int), ("records",
     @property
     def verdict(self) -> str:
         """FATAL if a proved statement failed, else COUNTEREXAMPLE if any failed, else OK."""
-        failed = {r.check for r in self.records if not r.passed}
-        return "FATAL" if failed & _FATAL_CHECKS else "COUNTEREXAMPLE" if failed else "OK"
+        return _verdict(self.failures())
 
     def to_json_dict(self) -> dict:
+        flags, summary, stats = self._walk()
         checks = [{"check": r.check, "index": list(r.index), "prime": r.prime,
                    "required": r.required, "observed": str(r.observed),
-                   "verdict": "pass" if r.passed else "fail", "severity": r.severity}
-                  for r in self.records]
-        summary = {k: {"pass": p, "fail": f} for k, (p, f) in sorted(self.summary.items())}
-        stats = {k: {"indivisible": h, "total": t} for k, (h, t) in sorted(self.stats.items())}
+                   "verdict": "pass" if ok else "fail", "severity": r.severity}
+                  for r, ok in zip(self.records, flags)]
+        summary = {k: {"pass": p, "fail": f} for k, (p, f) in sorted(summary.items())}
+        stats = {k: {"indivisible": h, "total": t} for k, (h, t) in sorted(stats.items())}
         return {"ell": self.ell, "checks": checks, "summary": summary, "stats": stats}
 
     def to_json_text(self) -> str:
         """json.dumps(self.to_json_dict(), indent=2) + "\\n", one % per record."""
+        flags, summary, stats = self._walk()
         checks = ",\n".join(
             _record_json(len(r.index)) % (_json_string(r.check), *r.index, r.prime, r.required,
-                                          r.observed, "pass" if r.passed else "fail", r.severity)
-            for r in self.records)
+                                          r.observed, "pass" if ok else "fail", r.severity)
+            for r, ok in zip(self.records, flags))
         return '{\n  "ell": %d,\n  "checks": %s,\n  "summary": %s,\n  "stats": %s\n}\n' % (
             self.ell, "[\n%s\n  ]" % checks if checks else "[]",
-            _json_pairs(self.summary.items(), ("pass", "fail")),
-            _json_pairs(self.stats.items(), ("indivisible", "total")))
+            _json_pairs(summary.items(), ("pass", "fail")),
+            _json_pairs(stats.items(), ("indivisible", "total")))
 
     def to_text(self) -> str:
         """One FAIL line per failed record, the tallies, and the verdict."""
-        failures = self.failures()
+        flags, summary, stats = self._walk()
+        failures = [r for r, ok in zip(self.records, flags) if not ok]
         lines = ["FAIL %s [%s]: ord_%d = %s, required %d (%s)" % (
             r.check, ",".join(map(str, r.index)), r.prime, r.observed, r.required, r.severity)
             for r in failures]
-        for name, (passed, failed) in sorted(self.summary.items()):
+        for name, (passed, failed) in sorted(summary.items()):
             lines.append("%s: %d checked, %d failed" % (name, passed + failed, failed))
-        for key, (hit, total) in sorted(self.stats.items()):
+        for key, (hit, total) in sorted(stats.items()):
             lines.append("note: %s: %d of %d" % (key, hit, total))
-        verdict = self.verdict
+        verdict = _verdict(failures)
         if verdict != "OK":
             kind = "proved" if verdict == "FATAL" else "conjectural"
             count = sum(r.severity == verdict for r in failures)
             verdict = "%s (%d %s statements failed)" % (verdict, count, kind)
         return "\n".join(lines + ["result: " + verdict]) + "\n"
+
+
+def _verdict(failures) -> str:
+    """A report's verdict, from its failed records alone."""
+    failed = {r.check for r in failures}
+    return "FATAL" if failed & _FATAL_CHECKS else "COUNTEREXAMPLE" if failed else "OK"
 
 
 def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
@@ -243,8 +252,7 @@ def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
     0, which always pass; report.stats tallies them.  A name in ``checks``
     outside ROW_CHECKS raises ValueError rather than checking nothing.
     """
-    if not is_prime(ell):
-        raise ValueError("ell must be prime, got %r" % (ell,))
+    _require_prime(ell)
     unknown = [c for c in checks if c not in ROW_CHECKS]
     if unknown:
         raise ValueError("unknown row checks %r (choose from %s)" % (unknown, ",".join(ROW_CHECKS)))

@@ -28,9 +28,9 @@ costs O(sqrt N) products per coefficient instead of O(N).  The single
 step, _miller_next, also ends each power of the upward product chain in
 recurrence.recurrence_row.
 
-Every provably exact division in the library, the Miller step's among
-them, goes through _exact_quotient, which raises IntegralityError on a
-remainder.
+Every provably exact division reports a remainder by _exact_quotient,
+which raises IntegralityError; only closedform's partition walk divides
+inline, by divmod, and hands a remainder to _exact_quotient.
 
 Values are immutable.  Instances with equal base, coefficient block and
 precision compare equal, and normalization trims leading zeros (raising

@@ -1,8 +1,8 @@
 """Independent routes to modular polynomial coefficients.
 
 Three mechanisms live here, all sharing only the j-invariant table with
-closedform's partition sums (recurrence_row borrows CoeffRequest to
-validate its inputs, no arithmetic), and not even that with
+closedform's partition sums (recurrence_row borrows closedform's row
+request check, no arithmetic), and not even that with
 closedform.hypergeometric_row, the top row the CLI serves.  That is what
 makes them usable as cross-checks:
 
@@ -40,8 +40,8 @@ import functools
 import math
 from operator import add, mul
 
-from .closedform import CoeffRequest
-from .comb import full_multinomial, is_prime
+from .closedform import _row_bound
+from .comb import _require_prime, full_multinomial
 from .jfun import JTable
 from .qseries import IntSeries, _miller_next
 
@@ -61,8 +61,7 @@ class ModularPolynomial:
     __slots__ = ("ell", "_entries")
 
     def __init__(self, ell: int, entries):
-        if not is_prime(ell):
-            raise ValueError("ell must be prime, got %r" % (ell,))
+        _require_prime(ell)
         table = {}
         for (m, n), v in dict(entries).items():
             if not (0 <= n <= ell and 0 <= m <= ell):
@@ -120,9 +119,7 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     power built one coefficient short raises IndexError.  Rows are
     memoized per (ell, j-prefix).
     """
-    if m_max is None:
-        m_max = ell
-    CoeffRequest(ell, m_max)  # validates ell and m_max
+    m_max = _row_bound(ell, m_max)
     j.require(m_max)
     key = (ell, j.values[: ell + 1])
     cached = _ROW_CACHE.get(key)
@@ -198,8 +195,7 @@ def verify_d_recurrence(ell: int, r, t) -> bool:
     """
     r = tuple(r)
     t = tuple(t)
-    if not is_prime(ell):
-        raise ValueError("ell must be prime")
+    _require_prime(ell)
     if len(r) != len(t) or any(ti < 1 for ti in t):
         raise ValueError("t must give positive multiplicity for each part")
     lhs = d_weight(ell, r, t, t)
@@ -318,8 +314,7 @@ def solve_full_polynomial(ell: int, j: JTable) -> ModularPolynomial:
     naming the lowest surviving exponent, and PrecisionError when the
     table is shorter than ell^2 + ell + 2 coefficients.
     """
-    if not is_prime(ell):
-        raise ValueError("ell must be prime, got %r" % (ell,))
+    _require_prime(ell)
     entries = {}
     residual = _expand(ell, j, lambda m, n, c: entries.setdefault((m, n), -c))
     if not residual.is_zero():

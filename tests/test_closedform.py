@@ -72,6 +72,31 @@ def test_request_rejects_bad_m(m):
         CoeffRequest(5, m)
 
 
+# Every top-row route, called as route(ell, m_max) on J where it reads a j table.
+ROW_ROUTES = {
+    "closed_row": lambda ell, m_max=None: closed_row(ell, J, m_max),
+    "partition_row": lambda ell, m_max=None: partition_row(ell, J, m_max),
+    "hypergeometric_row": hypergeometric_row,
+    "recurrence_row": lambda ell, m_max=None: recurrence_row(ell, J, m_max),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROW_ROUTES))
+def test_every_row_route_validates_the_same_request(route):
+    row = ROW_ROUTES[route]
+    for args, message in [
+        ((9,), "ell must be prime, got 9"),
+        ((9, 3), "ell must be prime, got 9"),
+        ((13, -1), "m must lie in [0, ell], got m=-1 for ell=13"),
+        ((13, 14), "m must lie in [0, ell], got m=14 for ell=13"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            row(*args)
+        assert str(info.value) == message, args
+    assert row(13) == row(13, 13) == hypergeometric_row(13)
+    assert row(13, 5) == hypergeometric_row(13)[:6]
+
+
 # --- term_weight ---------------------------------------------------------
 
 
@@ -447,6 +472,14 @@ def test_small_m_agrees_with_partition_sum(ell):
     for m in range(1, 8):
         req = CoeffRequest(ell, m)
         assert coeff_small_m(req, J) == coeff_closed(req, J), (ell, m)
+
+
+@settings(deadline=None)
+@given(ell=st.sampled_from([11, 13, 17, 31]), j=ARBITRARY_J)
+def test_small_m_agrees_with_coeff_closed_on_any_table(ell, j):
+    for m in range(1, 8):
+        req = CoeffRequest(ell, m)
+        assert coeff_small_m(req, j) == coeff_closed(req, j), m
 
 
 def test_small_m_domain_errors():

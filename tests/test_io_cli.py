@@ -764,9 +764,12 @@ def test_python_m_modpoly_runs_the_cli():
 
 def test_import_loads_no_dataclass_or_fraction_machinery():
     # dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in
-    # decimal: none of them is needed to import the package
+    # decimal: none of them is needed to import the package, nor to run
+    # coeff_small_m's expanded forms, two of which have a denominator
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = ("import sys; before = set(sys.modules); import modpoly; "
+             "j = modpoly.j_coefficients(8); "
+             "[modpoly.coeff_small_m(modpoly.CoeffRequest(11, m), j) for m in range(4, 8)]; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
