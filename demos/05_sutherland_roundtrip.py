@@ -32,8 +32,8 @@ for line in text.splitlines()[:4]:
     print(" ", line)
 
 # Parsing recovers the level without being told: a boundary entry
-# "[6,0] 1" puts it at 5.  Header comments ("# ell = 5") and digits in
-# the file name are also consulted, in that order, when present.
+# "[6,0] 1" puts it at 5.  A header comment ("# ell = 5") takes
+# precedence when present; the file name plays no part.
 
 parsed = parse_sutherland(text)
 print("inferred level:", parsed.ell)

@@ -65,6 +65,9 @@ from .comb import PartitionTerm, _require_prime, binomial, partitions
 from .jfun import JTable
 from .qseries import _exact_quotient
 
+__all__ = ["CoeffRequest", "closed_row", "coeff_closed", "coeff_small_m", "hypergeometric_row",
+           "partition_row", "term_weight"]
+
 
 class CoeffRequest(NamedTuple("CoeffRequest", [("ell", int), ("m", int)])):
     """A validated (ell, m) pair addressing the coefficient a_{ell, ell-m}."""

@@ -6,6 +6,9 @@ import math
 import operator
 from typing import Iterator, NamedTuple
 
+__all__ = ["PartitionTerm", "binomial", "full_multinomial", "is_prime", "partitions",
+           "primes_upto", "stirling_first", "stirling_second"]
+
 
 class PartitionTerm(NamedTuple):
     """A partition written as distinct parts r with multiplicities t.

@@ -34,6 +34,10 @@ from typing import NamedTuple
 from .comb import _require_prime, is_prime
 from .recurrence import ModularPolynomial
 
+__all__ = ["ALL_CHECKS", "INFINITE", "ROW_CHECKS", "CheckRecord", "CongruenceReport",
+           "check_conjecture_div", "check_row", "five_predicted", "ord_p",
+           "required_three_valuation", "required_two_valuation"]
+
 ROW_CHECKS = ("prop22", "prop23", "conj25")
 ALL_CHECKS = ("prop22", "prop23", "conj25", "conj12")
 

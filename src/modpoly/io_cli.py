@@ -5,10 +5,10 @@ polynomial tables: one coefficient per line, written as
 
     [m,n] value
 
-with m >= n, optional blank lines, comment lines starting with '#', and
-an optional monic boundary entry such as "[8,0] 1" for level 7.  Only
-one triangle of the symmetric table appears in a file; the parser fills
-the other half and flags conflicts.
+where [m,n] and [n,m] name one pair, with optional blank lines, comment
+lines starting with '#', and an optional monic boundary entry such as
+"[8,0] 1" or "[0,8] 1" for level 7.  Files usually hold one triangle of
+the symmetric table; the parser fills the other half, flagging conflicts.
 
 JSON output serializes coefficient values as decimal strings since they
 overflow 64-bit integers almost immediately.
@@ -31,6 +31,10 @@ from .comb import is_prime
 from .congruence import ALL_CHECKS, ROW_CHECKS, CongruenceReport, check_conjecture_div, check_row
 from .jfun import j_coefficients
 from .recurrence import ModularPolynomial, recurrence_row, solve_full_polynomial, solver_precision
+
+__all__ = ["SutherlandFile", "SutherlandParseError", "UsageError", "cli_main",
+           "emit_polynomial_json", "emit_sutherland_text", "load_sutherland", "parse_sutherland",
+           "read_polynomial_json"]
 
 # How far the CLI takes its costlier routes (solve times best of 3 in each
 # of two runs, 2-CPU x86-64, Python 3.11.7).  crosscheck runs the
@@ -69,8 +73,8 @@ class SutherlandFile(NamedTuple):
         """Drop monic boundary entries and build the symmetric table."""
         entries = {}
         for m, n, v in self.lines:
-            if m == self.ell + 1:
-                if n != 0 or v != 1:
+            if max(m, n) == self.ell + 1:
+                if min(m, n) != 0 or v != 1:
                     raise SutherlandParseError(
                         "unexpected boundary entry [%d,%d] %d for level %d" % (m, n, v, self.ell)
                     )
@@ -151,12 +155,22 @@ def emit_polynomial_json(poly: ModularPolynomial) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _int_field(obj, key: str) -> int:
+    try:
+        # through str, so that a float or a boolean is refused, not truncated
+        return int(str(obj[key]))
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("polynomial JSON lacks an integer %r field" % key) from None
+
+
 def read_polynomial_json(text) -> ModularPolynomial:
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+    """Read emit_polynomial_json's document; a missing or ill-typed field raises ValueError."""
     doc = json.loads(text)
-    entries = {(int(c["m"]), int(c["n"])): int(c["value"]) for c in doc["coefficients"]}
-    return ModularPolynomial(int(doc["ell"]), entries)
+    rows = doc.get("coefficients") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError("polynomial JSON lacks a 'coefficients' list")
+    entries = {(_int_field(c, "m"), _int_field(c, "n")): _int_field(c, "value") for c in rows}
+    return ModularPolynomial(_int_field(doc, "ell"), entries)
 
 
 def emit_sutherland_text(poly: ModularPolynomial) -> str:
@@ -323,7 +337,8 @@ def _cmd_check(args) -> int:
         poly = parsed.to_polynomial()
         # Zero coefficients are legitimate, so absent pairs are noted, not refused.
         pairs = (args.ell + 1) * (args.ell + 2) // 2
-        absent = pairs - len({(max(m, n), min(m, n)) for m, n, _ in parsed.lines if m <= args.ell})
+        present = {(max(m, n), min(m, n)) for m, n, _ in parsed.lines if max(m, n) <= args.ell}
+        absent = pairs - len(present)
         if absent:
             sys.stderr.write("note: %d of %d coefficient pairs are absent from the file "
                              "and read as 0\n" % (absent, pairs))

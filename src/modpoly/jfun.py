@@ -26,6 +26,8 @@ from operator import mul
 
 from .qseries import IntSeries, PrecisionError, _exact_quotient
 
+__all__ = ["JTable", "delta_series", "e4_series", "euler_factor_series", "j_coefficients"]
+
 
 def euler_factor_series(precision: int) -> IntSeries:
     """prod_{n>=1} (1 - q^n) truncated below q^precision."""

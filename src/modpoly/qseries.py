@@ -42,6 +42,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import mul
 
+__all__ = ["IntegralityError", "IntSeries", "PrecisionError"]
+
 
 class PrecisionError(ValueError):
     """A coefficient beyond the stated precision was requested."""

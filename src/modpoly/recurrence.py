@@ -45,6 +45,9 @@ from .comb import _require_prime, full_multinomial
 from .jfun import JTable
 from .qseries import IntSeries, _miller_next
 
+__all__ = ["InconsistentSystemError", "ModularPolynomial", "coeff_recurrence", "d_weight",
+           "polynomial_residual", "recurrence_row", "solve_full_polynomial", "verify_d_recurrence"]
+
 
 class InconsistentSystemError(ArithmeticError):
     """The elimination met a nonzero residual it cannot cancel."""

@@ -305,10 +305,6 @@ def test_partition_row_validates_its_request():
     with pytest.raises(PrecisionError):
         partition_row(5, j_coefficients(2), 3)
     assert partition_row(5, j_coefficients(2), 2) == [-1, 3720, -4550940]
-    with pytest.raises(ValueError):
-        partition_row(9, J)
-    with pytest.raises(ValueError):
-        partition_row(5, J, 6)
 
 
 def per_m_error(ell, m_max):
@@ -425,13 +421,6 @@ def test_hypergeometric_row_matches_closed_row():
         assert hypergeometric_row(ell) == closed_row(ell, j), ell
         m_max = min(ell, 30)
         assert hypergeometric_row(ell, m_max) == closed_row(ell, j, m_max), ell
-
-
-def test_hypergeometric_row_validates_its_request():
-    with pytest.raises(ValueError):
-        hypergeometric_row(9)
-    with pytest.raises(ValueError):
-        hypergeometric_row(5, m_max=6)
 
 
 def test_hypergeometric_row_checks_exact_division(monkeypatch):

@@ -1,7 +1,11 @@
 """Coefficient-file parsing, serialization round trips, and the CLI front end."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +144,26 @@ def test_sutherland_round_trip():
 
 def test_json_round_trip():
     assert read_polynomial_json(emit_polynomial_json(PHI5)) == PHI5
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"ell": 5}', "polynomial JSON lacks a 'coefficients' list"),
+    ("[]", "polynomial JSON lacks a 'coefficients' list"),
+    ("null", "polynomial JSON lacks a 'coefficients' list"),
+    ('{"ell": 5, "coefficients": [{"m": 1}]}', "polynomial JSON lacks an integer 'n' field"),
+    ('{"coefficients": []}', "polynomial JSON lacks an integer 'ell' field"),
+    ('{"ell": 5, "coefficients": [{"m": 5, "n": 5, "value": "x"}]}',
+     "polynomial JSON lacks an integer 'value' field"),
+    ('{"ell": 5.9, "coefficients": []}', "polynomial JSON lacks an integer 'ell' field"),
+    ('{"ell": 5, "coefficients": [{"m": true, "n": 0, "value": "7"}]}',
+     "polynomial JSON lacks an integer 'm' field"),
+], ids=["no-coefficients", "list", "null", "no-n", "no-ell", "bad-value", "float", "bool"])
+def test_read_polynomial_json_names_the_field_it_cannot_read(text, message):
+    # KeyError and TypeError once escaped here, which callers and cli_main do not
+    # catch, and a float or a boolean field was truncated to an int
+    with pytest.raises(ValueError) as info:
+        read_polynomial_json(text)
+    assert str(info.value) == message
 
 
 def test_json_document_shape():
@@ -572,6 +596,34 @@ def test_cli_check_builds_only_the_report_it_writes(tmp_path, capsys, monkeypatc
         assert built == expected, argv
 
 
+def test_cli_check_file_reads_pairs_in_either_order(tmp_path, capsys):
+    # ModularPolynomial reads [m,n] and [n,m] as one pair; so must the boundary
+    # entry and the absent-pair count, which once read [0,8] 1 as an index
+    # outside the table and counted the boundary as a pair
+    text = emit_sutherland_text(solve_full_polynomial(7, j_coefficients(58)))
+    mirrored = re.sub(r"^\[(\d+),(\d+)\]", r"[\2,\1]", text, flags=re.M).splitlines()
+    assert mirrored[0] == "[0,8] 1"
+    argv = ("check", "--ell", "7", "--set", "prop22,prop23,conj25,conj12", "--file")
+    plain, path = tmp_path / "phi7.txt", tmp_path / "phi7_mirrored.txt"
+    plain.write_text(text)
+    path.write_text("\n".join(mirrored) + "\n")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, str(plain))[1]
+    path.write_text("\n".join(["[0,8] 2"] + mirrored[1:]) + "\n")
+    assert run_cli(capsys, *argv, str(path)) == (
+        2, "", "error: unexpected boundary entry [0,8] 2 for level 7\n")
+    # [1,3], [2,5] and [6,6] lie off the top row and are not a_{1,1}, so both
+    # screens pass with them read as 0
+    kept = [line for line in mirrored if line.split()[0] not in ("[1,3]", "[2,5]", "[6,6]")]
+    assert len(kept) == len(mirrored) - 3
+    path.write_text("\n".join(kept) + "\n")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, err) == (0, "note: 3 of 36 coefficient pairs are absent from the file "
+                              "and read as 0\n")
+    assert out.endswith("result: OK\n")
+
+
 def test_cli_check_file_notes_absent_pairs(tmp_path, capsys):
     text = emit_sutherland_text(solve_full_polynomial(7, j_coefficients(58)))
     full = tmp_path / "phi7.txt"
@@ -792,3 +844,23 @@ def test_every_public_name_resolves():
 
     missing = [name for name in modpoly.__all__ if not hasattr(modpoly, name)]
     assert missing == []
+
+
+def test_each_module_states_its_public_names_once():
+    # The package's export list is the union of its modules' __all__ lists,
+    # so each name is declared once, in the module that defines it.
+    import modpoly
+
+    layers = [name for _, name, _ in pkgutil.iter_modules(modpoly.__path__) if name != "__main__"]
+    joined = []
+    for layer in layers:
+        module = importlib.import_module("modpoly." + layer)
+        assert isinstance(getattr(module, "__all__", None), list), layer
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, (layer, name)
+            assert getattr(modpoly, name) is obj, (layer, name)
+        joined += module.__all__
+    assert sorted(modpoly.__all__) == sorted(joined + ["__version__"])
+    assert len(set(modpoly.__all__)) == len(modpoly.__all__)
