@@ -16,7 +16,10 @@ divided out, and the rest of e is read off the remainder x % p^k, so a
 valuation e costs O(e/k) divisions, each by one digit when p^k fits one.
 A valuation is a plain int, or INFINITE (``math.inf``) for x = 0, so it
 compares with ``>=`` and prints as ``inf``.  Records and reports are
-immutable named tuples.
+immutable named tuples.  A checker grades one prime at a time over the
+whole row or table: each column takes its valuations from ``ord_p`` in one
+pass and builds its records with no Python frame per record, and slice
+assignment interleaves the columns into the order of the indices.
 
 Checkers never raise on a failed comparison; they record verdicts so a
 sweep can aggregate.  Zero coefficients have INFINITE valuation and pass
@@ -28,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from itertools import cycle, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
@@ -246,6 +250,26 @@ def _verdict(failures) -> str:
     return "FATAL" if failed & _FATAL_CHECKS else "COUNTEREXAMPLE" if failed else "OK"
 
 
+def _column(check: str, index, prime: int, required, values) -> list:
+    """CheckRecords (check, index[i], prime, required[i], ord_p(values[i], prime)).
+
+    One column of a report, graded by ``ord_p`` in one pass and built by
+    ``tuple.__new__`` with no Python frame per record; it stops with the
+    shortest of index, required and values.
+    """
+    observed = map(ord_p, values, repeat(prime))
+    return list(map(tuple.__new__, repeat(CheckRecord),
+                    zip(repeat(check), index, repeat(prime), required, observed)))
+
+
+def _interleave(columns: list, n: int) -> list:
+    """The records of columns of length n, one from each column in turn."""
+    records = [None] * (len(columns) * n)
+    for c, column in enumerate(columns):
+        records[c::len(columns)] = column
+    return records
+
+
 def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
     """Check a_{ell,ell-m} for m = 1..ell against the row divisibility tables.
 
@@ -266,14 +290,26 @@ def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
     two = "prop22" in checks and ell % 2 == 1
     three = "prop23" in checks
     five = _FIVE_CLASS.get(ell % 5) if "conj25" in checks else None
-    records = []
-    for m, a in enumerate(row, start=1):
-        if two:
-            records.append(CheckRecord("prop22", (m,), 2, _TWO_REQUIRED[m % 8], ord_p(a, 2)))
-        if three:
-            records.append(CheckRecord("prop23", (m,), 3, _THREE_REQUIRED[m % 3], ord_p(a, 3)))
-        if m % 5 == five and m < ell:
-            records.append(CheckRecord("conj25", (m,), 5, 1, ord_p(a, 5)))
+    index = list(zip(range(1, ell + 1)))  # (m,), shared by every record at m
+    dense = []  # the columns with a record at every m; required is table[m % len(table)]
+    if two:
+        dense.append(_column("prop22", index, 2, islice(cycle(_TWO_REQUIRED), 1, None), row))
+    if three:
+        dense.append(_column("prop23", index, 3, islice(cycle(_THREE_REQUIRED), 1, None), row))
+    if five is None:
+        return CongruenceReport(ell, _interleave(dense, ell))
+    # conj25 grades m = five (mod 5), m < ell, after the dense records of
+    # its m: each five consecutive m hold 5k + 1 records, so the records
+    # at one m mod 5 of one column lie a stride of 5k + 1 apart.
+    fives = _column("conj25", index[five - 1:ell - 1:5], 5, repeat(1), row[five - 1:ell - 1:5])
+    k = len(dense)
+    records = [None] * (k * ell + len(fives))
+    stride = 5 * k + 1
+    for r in range(5):  # m = r + 1 (mod 5)
+        start = k * r + (r >= five)
+        for c, column in enumerate(dense):
+            records[start + c::stride] = column[r::5]
+    records[k * five::stride] = fives
     return CongruenceReport(ell, records)
 
 
@@ -285,16 +321,18 @@ def check_conjecture_div(poly: ModularPolynomial) -> CongruenceReport:
     ord_5 >= 3c (unless ell = 5).
     """
     ell = poly.ell
-    records = []
+    index, values = [], []
     for m, n, a in poly.items():
-        c = ell + 1 - m - n
-        if c <= 0:
-            continue
-        if ell != 2:
-            records.append(CheckRecord("conj12", (m, n), 2, 15 * c, ord_p(a, 2)))
-        if ell != 3:
-            need3 = (9 * c + 1) // 2 if ell % 3 == 1 else 3 * c
-            records.append(CheckRecord("conj12", (m, n), 3, need3, ord_p(a, 3)))
-        if ell != 5:
-            records.append(CheckRecord("conj12", (m, n), 5, 3 * c, ord_p(a, 5)))
-    return CongruenceReport(ell, records)
+        if m + n <= ell:
+            index.append((m, n))
+            values.append(a)
+    cs = [ell + 1 - m - n for m, n in index]
+    columns = []
+    if ell != 2:
+        columns.append(_column("conj12", index, 2, [15 * c for c in cs], values))
+    if ell != 3:
+        need3 = [(9 * c + 1) // 2 for c in cs] if ell % 3 == 1 else [3 * c for c in cs]
+        columns.append(_column("conj12", index, 3, need3, values))
+    if ell != 5:
+        columns.append(_column("conj12", index, 5, [3 * c for c in cs], values))
+    return CongruenceReport(ell, _interleave(columns, len(index)))

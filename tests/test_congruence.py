@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from conftest import PHI5_FACTORED
@@ -395,7 +396,8 @@ def test_conjecture_div_only_positive_c():
 # --- same verdicts as the naive oracle ---------------------------------------
 
 
-ROW_CHECK_SETS = [ROW_CHECKS, ("conj25", "prop22"), ("prop23",), ("conj25",), ()]
+ROW_CHECK_SETS = [ROW_CHECKS, ("conj25", "prop22"), ("prop23",), ("conj25",), (),
+                  ("prop22",), ("prop22", "prop23"), ("prop23", "conj25")]
 
 
 @pytest.mark.parametrize("ell", primes_upto(199))
@@ -418,6 +420,28 @@ def test_check_row_matches_naive_oracle_on_adversarial_rows(ell):
         row = [ADVERSARIAL[(shift + i) % len(ADVERSARIAL)] for i in range(ell)]
         for checks in ROW_CHECK_SETS:
             assert check_row(ell, row, checks).records == naive_check_row(ell, row, checks)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_check_conjecture_div_matches_naive_oracle_on_adversarial_tables(ell):
+    pairs = [(m, n) for m in range(ell, -1, -1) for n in range(m, -1, -1)][1:]  # all but (ell, ell)
+    for shift in range(len(ADVERSARIAL)):
+        entries = {pair: ADVERSARIAL[(shift + i) % len(ADVERSARIAL)] for i, pair in enumerate(pairs)}
+        entries[(ell, ell)] = -1
+        poly = ModularPolynomial(ell, entries)
+        assert check_conjecture_div(poly).records == naive_conjecture_div(poly)
+
+
+@pytest.mark.parametrize("checks", [checks for checks in ROW_CHECK_SETS if checks])
+@pytest.mark.parametrize("bad", [1.0, Fraction(1)])
+def test_check_row_refuses_a_non_integer_at_a_graded_position(checks, bad):
+    ell = 13  # odd, so prop22 grades every m; conj25 grades m = 4 and 9
+    row = hypergeometric_row(ell)[1:]
+    graded = {m for rec in check_row(ell, row, checks).records for m in rec.index}
+    assert graded
+    for m in sorted(graded):
+        with pytest.raises(TypeError, match="must be an integer"):
+            check_row(ell, row[:m - 1] + [bad] + row[m:], checks)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
