@@ -18,8 +18,9 @@ A valuation is a plain int, or INFINITE (``math.inf``) for x = 0, so it
 compares with ``>=`` and prints as ``inf``.  Records and reports are
 immutable named tuples.  A checker grades one prime at a time over the
 whole row or table: each column takes its valuations from ``ord_p`` in one
-pass and builds its records with no Python frame per record, and slice
-assignment interleaves the columns into the order of the indices.
+pass and builds its records with no Python frame per record.  A column has
+one entry per index, None where its check grades nothing; slice assignment
+interleaves the columns and the holes are dropped.
 
 Checkers never raise on a failed comparison; they record verdicts so a
 sweep can aggregate.  Zero coefficients have INFINITE valuation and pass
@@ -262,12 +263,12 @@ def _column(check: str, index, prime: int, required, values) -> list:
                     zip(repeat(check), index, repeat(prime), required, observed)))
 
 
-def _interleave(columns: list, n: int) -> list:
-    """The records of columns of length n, one from each column in turn."""
-    records = [None] * (len(columns) * n)
+def _report(ell: int, columns: list) -> CongruenceReport:
+    """The report of equal columns with holes (None): their entries in turn, holes dropped."""
+    records = [None] * sum(map(len, columns))
     for c, column in enumerate(columns):
         records[c::len(columns)] = column
-    return records
+    return CongruenceReport(ell, list(filter(None, records)))
 
 
 def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
@@ -287,30 +288,18 @@ def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
     row = list(row)
     if len(row) != ell:
         raise ValueError("row must list a_{ell,ell-m} for m=1..ell, got %d values" % len(row))
-    two = "prop22" in checks and ell % 2 == 1
-    three = "prop23" in checks
-    five = _FIVE_CLASS.get(ell % 5) if "conj25" in checks else None
     index = list(zip(range(1, ell + 1)))  # (m,), shared by every record at m
-    dense = []  # the columns with a record at every m; required is table[m % len(table)]
-    if two:
-        dense.append(_column("prop22", index, 2, islice(cycle(_TWO_REQUIRED), 1, None), row))
-    if three:
-        dense.append(_column("prop23", index, 3, islice(cycle(_THREE_REQUIRED), 1, None), row))
-    if five is None:
-        return CongruenceReport(ell, _interleave(dense, ell))
-    # conj25 grades m = five (mod 5), m < ell, after the dense records of
-    # its m: each five consecutive m hold 5k + 1 records, so the records
-    # at one m mod 5 of one column lie a stride of 5k + 1 apart.
-    fives = _column("conj25", index[five - 1:ell - 1:5], 5, repeat(1), row[five - 1:ell - 1:5])
-    k = len(dense)
-    records = [None] * (k * ell + len(fives))
-    stride = 5 * k + 1
-    for r in range(5):  # m = r + 1 (mod 5)
-        start = k * r + (r >= five)
-        for c, column in enumerate(dense):
-            records[start + c::stride] = column[r::5]
-    records[k * five::stride] = fives
-    return CongruenceReport(ell, records)
+    columns = []  # required is table[m % len(table)]
+    if "prop22" in checks and ell % 2 == 1:
+        columns.append(_column("prop22", index, 2, islice(cycle(_TWO_REQUIRED), 1, None), row))
+    if "prop23" in checks:
+        columns.append(_column("prop23", index, 3, islice(cycle(_THREE_REQUIRED), 1, None), row))
+    if "conj25" in checks and ell % 5:
+        graded = slice(_FIVE_CLASS[ell % 5] - 1, ell - 1, 5)  # m < ell, m mod 5 from ell mod 5
+        column = [None] * ell
+        column[graded] = _column("conj25", index[graded], 5, repeat(1), row[graded])
+        columns.append(column)
+    return _report(ell, columns)
 
 
 def check_conjecture_div(poly: ModularPolynomial) -> CongruenceReport:
@@ -335,4 +324,4 @@ def check_conjecture_div(poly: ModularPolynomial) -> CongruenceReport:
         columns.append(_column("conj12", index, 3, need3, values))
     if ell != 5:
         columns.append(_column("conj12", index, 5, [3 * c for c in cs], values))
-    return CongruenceReport(ell, _interleave(columns, len(index)))
+    return _report(ell, columns)

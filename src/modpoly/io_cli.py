@@ -13,8 +13,9 @@ the symmetric table; the parser fills the other half, flagging conflicts.
 JSON output serializes coefficient values as decimal strings since they
 overflow 64-bit integers almost immediately.
 
-Exit codes of the CLI: 0 success, 1 usage error, 2 computation error,
-3 a proved divisibility statement failed, 4 a conjectural one failed.
+Exit codes of the CLI: 0 success, 1 usage error, 2 computation error, 3 a
+proved divisibility statement failed or crosscheck found a MISMATCH, 4 a
+conjectural one failed.
 """
 
 from __future__ import annotations
@@ -90,17 +91,16 @@ _HEADER_ELL_RE = re.compile(r"^#\s*(?:ell|level)\s*[=:]\s*(\d+)\s*$", re.IGNOREC
 def parse_sutherland(text) -> SutherlandFile:
     """Parse coefficient lines and figure out the level.
 
-    ``text`` may be str or UTF-8 bytes; LF and CRLF both work.  The level
-    is taken from a "# ell = N" header comment if there is one, else from
-    the entry indices themselves (a boundary entry [M,0] with value 1 puts
-    the level at M-1, otherwise at the largest m seen).  Headers that give
-    two different levels raise SutherlandParseError.
+    ``text`` may be str or UTF-8 bytes, byte-order mark or not; LF and CRLF
+    both work.  The level is taken from a "# ell = N" header comment if there
+    is one, else from the entry indices themselves (a boundary entry [M,0]
+    with value 1 puts the level at M-1, otherwise at the largest m seen).
+    Headers that give two different levels raise SutherlandParseError.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        text = text.decode("utf-8-sig")
     header_ell = None
-    triples = []
-    seen = {}
+    seen = {}  # (m, n) -> value, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -128,14 +128,13 @@ def parse_sutherland(text) -> SutherlandFile:
                 lineno,
             )
         seen[(m, n)] = v
-        triples.append((m, n, v))
-    if not triples:
+    if not seen:
         raise SutherlandParseError("no coefficient lines found")
     level = header_ell
     if level is None:
-        top = max(m for m, _, _ in triples)
-        level = top - 1 if (top, 0, 1) in triples else top
-    return SutherlandFile(level, tuple(triples))
+        top = max(m for m, _ in seen)
+        level = top - 1 if seen.get((top, 0)) == 1 else top
+    return SutherlandFile(level, tuple((m, n, v) for (m, n), v in seen.items()))
 
 
 def load_sutherland(path: str) -> SutherlandFile:

@@ -51,8 +51,10 @@ def test_parse_tolerates_whitespace_comments_crlf():
 
 def test_parse_accepts_bytes_and_huge_values():
     big = PHI5_FACTORED[(0, 0)]
-    parsed = parse_sutherland(("[0,0] %d\n[5,5] -1\n" % big).encode())
-    assert parsed.lines[0] == (0, 0, big)
+    data = ("[0,0] %d\n[5,5] -1\n" % big).encode()
+    for text in (data, b"\xef\xbb\xbf" + data):  # a UTF-8 byte-order mark is dropped
+        parsed = parse_sutherland(text)
+        assert parsed.lines == ((0, 0, big), (5, 5, -1))
 
 
 def test_parse_malformed_line_reports_line_number():
@@ -485,6 +487,15 @@ def test_cli_check_file_pass(tmp_path, capsys):
     )
     assert code == 0
     assert "result: OK" in out
+
+
+def test_cli_check_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(emit_sutherland_text(PHI5))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got = run_cli(capsys, "check", "--ell", "5", "--file", str(marked))
+    assert got == run_cli(capsys, "check", "--ell", "5", "--file", str(plain))
+    assert got[0] == 0 and "result: OK" in got[1]
 
 
 def test_cli_check_file_level_mismatch(tmp_path, capsys):
