@@ -98,7 +98,8 @@ def parse_sutherland(text) -> SutherlandFile:
     Headers that give two different levels raise SutherlandParseError.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8-sig")
+        text = text.decode("utf-8")
+    text = text.removeprefix("\ufeff")
     header_ell = None
     seen = {}  # (m, n) -> value, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -381,7 +382,7 @@ def _cmd_crosscheck(args) -> int:
     m_max = args.m_max if args.m_max is not None else args.ell
     solvable = args.ell <= SOLVER_FEASIBLE_MAX
     # In solver range the solver's table serves every route; the rows read its prefix.
-    j = j_coefficients(solver_precision(args.ell) if solvable else max(m_max, 1))
+    j = j_coefficients(solver_precision(args.ell) if solvable else m_max)
     sources = {
         "closed": closed_row(args.ell, j, m_max),
         "recurrence": recurrence_row(args.ell, j, m_max),

@@ -227,14 +227,6 @@ def _axpy(dst: list, offset: int, c: int, src) -> None:
     dst[offset:end] = map(add, dst[offset:end], map(c.__mul__, src))
 
 
-def _spread_dot(t, y, k: int, ell: int) -> int:
-    """sum_i t[i] * y[k - ell*i]: one coefficient of t spread by ell times y.
-
-    k is the index of y paired with t[0]; it must be below len(y).
-    """
-    return sum(map(mul, t, y[k::-ell])) if k >= 0 else 0
-
-
 @functools.lru_cache(maxsize=1)
 def _power_table(ell: int, j: JTable) -> tuple:
     """(j(z)^0, ..., j(z)^(ell+1)) as coefficient tuples, j(z)^k from q^-k on.
@@ -270,9 +262,9 @@ def _expand(ell: int, j: JTable, coefficient) -> IntSeries:
     0 <= n <= m <= ell.  Each a_{m,n} joins Q_m and, for n != m, Q_n;
     once row m is complete, X^m Q_m is folded into acc.  c is the
     expansion's coefficient at the pair's pivot exponent e = -(ell*m + n)
-    with every pair visited so far: acc's plus [q^e] of X^m Q_m and
-    X^(m-1) Q_(m-1), since lower rows start above q^e.  The pivot, the
-    pair's own coefficient at q^e, is read from T and must be 1.
+    with every pair visited so far: acc's plus [q^e] of X^m Q_m and, at
+    n = 0 only, of X^(m-1) Q_(m-1).  The pivot, the pair's own [q^e], must
+    be 1: it is T[m][0] * T[n][0], leading coefficients of j(z)^m and j(z)^n.
     """
     j.require(solver_precision(ell))
     tail = j.count - ell * ell - ell + 1
@@ -285,11 +277,12 @@ def _expand(ell: int, j: JTable, coefficient) -> IntSeries:
     for m in range(ell, -1, -1):
         for n in range(m, -1, -1):
             e = -(ell * m + n)
-            pivot = sum(_spread_dot(T[r], T[m + n - r], (ell - 1) * (r - m), ell) for r in {m, n})
+            pivot = T[m][0] * T[n][0]
             if pivot != 1:
                 raise InconsistentSystemError("pivot at pair (%d, %d) is %d, not 1" % (m, n, pivot))
-            rows = range(max(m - 1, 0), m + 1)
-            c = acc[top + e] + sum(_spread_dot(T[r], Q[r], e + ell * (r + 1), ell) for r in rows)
+            c = acc[top + e] + sum(map(mul, T[m], Q[m][ell - n :: -ell]))
+            if n == 0 and m > 0:
+                c += T[m - 1][0] * Q[m - 1][0]
             a = coefficient(m, n, c)
             _axpy(Q[m], ell - n, a, T[n])
             if n != m:

@@ -52,7 +52,8 @@ def test_parse_tolerates_whitespace_comments_crlf():
 def test_parse_accepts_bytes_and_huge_values():
     big = PHI5_FACTORED[(0, 0)]
     data = ("[0,0] %d\n[5,5] -1\n" % big).encode()
-    for text in (data, b"\xef\xbb\xbf" + data):  # a UTF-8 byte-order mark is dropped
+    # a UTF-8 byte-order mark is dropped, in bytes and in str alike
+    for text in (data, b"\xef\xbb\xbf" + data, "\ufeff" + data.decode()):
         parsed = parse_sutherland(text)
         assert parsed.lines == ((0, 0, big), (5, 5, -1))
 
@@ -701,8 +702,9 @@ def test_cli_crosscheck_level_two(capsys):
     assert (code, out) == (0, "crosscheck: OK (ell=2, m <= 2, methods: closed,recurrence,solver)\n")
 
 
-def test_cli_crosscheck_beyond_solver_range(capsys):
-    code, out, _ = run_cli(capsys, "crosscheck", "--ell", "17", "--m-max", "5")
+@pytest.mark.parametrize("m_max", ["1", "5"])
+def test_cli_crosscheck_beyond_solver_range(capsys, m_max):
+    code, out, _ = run_cli(capsys, "crosscheck", "--ell", "17", "--m-max", m_max)
     assert code == 0
     assert "solver" not in out
 
