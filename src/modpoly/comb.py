@@ -1,4 +1,4 @@
-"""Combinatorial kernels: partitions, multinomials, Stirling numbers, primes."""
+"""Combinatorial kernels: partitions, binomials, primality."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import math
 import operator
 from typing import Iterator, NamedTuple
 
-__all__ = ["PartitionTerm", "binomial", "full_multinomial", "is_prime", "partitions",
-           "primes_upto", "stirling_first", "stirling_second"]
+__all__ = ["PartitionTerm", "binomial", "is_prime", "partitions"]
 
 
 class PartitionTerm(NamedTuple):
@@ -81,53 +80,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def full_multinomial(n: int, parts) -> int:
-    """n! / prod(parts!) where parts sums to n exactly."""
-    parts = tuple(parts)
-    if n < 0 or any(p < 0 for p in parts):
-        raise ValueError("arguments must be nonnegative")
-    if sum(parts) != n:
-        raise ValueError("parts %r must sum to n=%d" % (parts, n))
-    out = 1
-    rest = n
-    for p in parts:
-        out *= math.comb(rest, p)
-        rest -= p
-    return out
-
-
-def stirling_first(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind: prod_{i<n} (x - i) = sum_k s(n,k) x^k."""
-    if n < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    if k > n:
-        raise ValueError("need k <= n, got k=%d > n=%d" % (k, n))
-    row = [1]
-    for i in range(n):
-        nxt = [0] * (i + 2)
-        for j, v in enumerate(row):
-            nxt[j + 1] += v
-            nxt[j] -= i * v
-        row = nxt
-    return row[k]
-
-
-def stirling_second(d: int, n: int) -> int:
-    """Stirling number of the second kind S(d, n); zero when 0 <= d < n."""
-    if d < 0 or n < 0:
-        raise ValueError("arguments must be nonnegative")
-    if n > d:
-        return 0
-    row = [1]
-    for i in range(d):
-        nxt = [0] * (i + 2)
-        for j, v in enumerate(row):
-            nxt[j] += j * v
-            nxt[j + 1] += v
-        row = nxt
-    return row[n]
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -147,13 +99,3 @@ def _require_prime(ell) -> None:
     if not is_prime(ell):
         raise ValueError("ell must be prime, got %r" % (ell,))
 
-
-def primes_upto(n: int) -> list:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, alive in enumerate(sieve) if alive]

@@ -37,16 +37,16 @@ __all__ = ["SutherlandFile", "SutherlandParseError", "UsageError", "cli_main",
            "emit_polynomial_json", "emit_sutherland_text", "load_sutherland", "parse_sutherland",
            "read_polynomial_json"]
 
-# How far the CLI takes its costlier routes (solve times best of 3 in each
-# of two runs, 2-CPU x86-64, Python 3.11.7).  crosscheck runs the
-# term-by-term partition sum, the one route with no series code, up to
-# m = 20: one walk of p(20) = 627 nodes and 2,713 checked terms.  The
-# solver, in check --set conj12 without --file and as crosscheck's third
-# oracle, stops at ell = 13 not for time (ell = 17 solves in 0.12-0.14 s)
-# but because from ell = 17 on crosscheck's OK line would list "solver",
-# and the benchmark's digests of that line would change.  poly stops at
-# ell = 23 for time: 0.24-0.28 s at ell = 19 and 0.83-0.92 s at 23, about
-# ell^6, so ell = 97 would run for over an hour (extrapolated).
+# How far the CLI takes its costlier routes (README's "Full solver" gives
+# the measured solve times).  crosscheck runs the term-by-term partition
+# sum, the one route with no series code, up to m = 20: one walk of
+# p(20) = 627 nodes and 2,713 checked terms.  The solver, in check --set
+# conj12 without --file and as crosscheck's third oracle, stops at
+# ell = 13 not for time (ell = 17 solves in a fraction of a second) but
+# because from ell = 17 on crosscheck's OK line would list "solver", and
+# the benchmark's digests of that line would change.  poly stops at
+# ell = 23 for time: a solve grows about as ell^6, so ell = 97 would run
+# for over an hour (extrapolated).
 PARTITION_CHECK_MAX = 20
 SOLVER_FEASIBLE_MAX = 13
 POLY_FEASIBLE_MAX = 23

@@ -1,6 +1,6 @@
 """Independent routes to modular polynomial coefficients.
 
-Three mechanisms live here, all sharing only the j-invariant table with
+Two mechanisms live here, both sharing only the j-invariant table with
 closedform's partition sums (recurrence_row borrows closedform's row
 request check, no arithmetic), and not even that with
 closedform.hypergeometric_row, the top row the CLI serves.  That is what
@@ -18,10 +18,7 @@ makes them usable as cross-checks:
    coefficient, and closes each with one checked step of the Miller
    recurrence behind the series power kernel;
 
-2. rational d-weights attached to sub-multiplicity splits of a partition,
-   together with a sum rule they must satisfy (verify_d_recurrence);
-
-3. a full solver that determines every a_{m,n} at once from the defining
+2. a full solver that determines every a_{m,n} at once from the defining
    identity Phi_ell(j(ell z), j(z)) = 0, by exact elimination on the
    principal part of the q-expansion.  It evaluates Phi_ell row by row,
    as the sum of j(ell z)^m * Q_m(j(z)) with Q_m(Y) = sum_n a_{m,n} Y^n,
@@ -30,23 +27,22 @@ makes them usable as cross-checks:
    IntSeries products, and they are the one O(ell^5) stage.  They are
    built once per (ell, j table) and shared: a solve and a later residual
    check on an equal j table read the same tuple of powers.  The last
-   table built is held for the life of the process (0.6 MB at ell = 17,
-   2 MB at ell = 23), and building another replaces it.
+   table built is held for the life of the process (README gives its
+   size), and building another replaces it.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from operator import add, mul
 
 from .closedform import _row_bound
-from .comb import _require_prime, full_multinomial
+from .comb import _require_prime
 from .jfun import JTable
 from .qseries import IntSeries, _miller_next
 
-__all__ = ["InconsistentSystemError", "ModularPolynomial", "coeff_recurrence", "d_weight",
-           "polynomial_residual", "recurrence_row", "solve_full_polynomial", "verify_d_recurrence"]
+__all__ = ["InconsistentSystemError", "ModularPolynomial", "coeff_recurrence",
+           "polynomial_residual", "recurrence_row", "solve_full_polynomial"]
 
 
 class InconsistentSystemError(ArithmeticError):
@@ -153,67 +149,6 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
 def coeff_recurrence(ell: int, m: int, j: JTable) -> int:
     """a_{ell, ell-m} from the recurrence; intermediate row values are memoized."""
     return recurrence_row(ell, j, m)[m]
-
-
-def d_weight(ell: int, r, t1, t_full):
-    """Exact rational split weight d, a Fraction, for parts r at sub-multiplicities t1.
-
-    r must be strictly increasing and positive, and t_full holds the full
-    multiplicities the split was taken from, so 0 <= t1[i] <= t_full[i]
-    and sum(t1 * r) <= ell.  For s = sum(t1) and W = sum(t1*r):
-
-        d = (-1)^(s-1) * (1 / prod t1_i!) * ell * (ell-1-W+s)! / (ell-W)!
-
-    The all-zero split evaluates to -1, consistent with reading the
-    formula at s = 0.
-    """
-    r, t1, t_full = tuple(r), tuple(t1), tuple(t_full)
-    if not len(r) == len(t1) == len(t_full):
-        raise ValueError("r, t1 and t_full must have equal length")
-    if any(ri < 1 for ri in r) or any(a >= b for a, b in zip(r, r[1:])):
-        raise ValueError("parts must be positive and strictly increasing")
-    if any(not 0 <= a <= b for a, b in zip(t1, t_full)):
-        raise ValueError("split multiplicities must lie in [0, t_full]")
-    s = sum(t1)
-    W = sum(ri * ti for ri, ti in zip(r, t1))
-    if W > ell:
-        raise ValueError("sum(t1*r) must not exceed ell")
-    den = 1
-    for ti in t1:
-        den *= math.factorial(ti)
-    from fractions import Fraction  # the test oracles alone need it; importing modpoly stays lean
-    val = Fraction(ell * math.factorial(ell - 1 - W + s), den * math.factorial(ell - W))
-    return val if s % 2 else -val
-
-
-def verify_d_recurrence(ell: int, r, t) -> bool:
-    """Check the sum rule tying a full split weight to all proper sub-splits.
-
-    With n = ell - sum(t1*r) for each proper sub-split t1 of t, and
-    t2 = t - t1, the rule is
-
-        d(r; t) = - sum_{t1 proper} d(r; t1) * C(n; t2_1, ..., t2_lam, n - sum(t2)).
-
-    Returns True when the identity holds exactly.
-    """
-    r = tuple(r)
-    t = tuple(t)
-    _require_prime(ell)
-    if len(r) != len(t) or any(ti < 1 for ti in t):
-        raise ValueError("t must give positive multiplicity for each part")
-    lhs = d_weight(ell, r, t, t)
-    rhs = 0
-    splits = [()]
-    for ti in t:
-        splits = [prefix + (x,) for prefix in splits for x in range(ti + 1)]
-    for t1 in splits:
-        if t1 == t:
-            continue
-        n = ell - sum(ri * ai for ri, ai in zip(r, t1))
-        t2 = tuple(ti - ai for ti, ai in zip(t, t1))
-        parts = t2 + (n - sum(t2),)
-        rhs -= d_weight(ell, r, t1, t) * full_multinomial(n, parts)
-    return lhs == rhs
 
 
 def solver_precision(ell: int) -> int:

@@ -11,6 +11,7 @@ import time
 
 import conftest
 from conftest import PHI5_FACTORED
+from oracles import primes_upto, stirling_first, stirling_second, verify_d_recurrence
 
 from modpoly import (
     CoeffRequest,
@@ -26,15 +27,11 @@ from modpoly import (
     ord_p,
     partitions,
     polynomial_residual,
-    primes_upto,
     recurrence_row,
     required_three_valuation,
     required_two_valuation,
     solve_full_polynomial,
-    stirling_first,
-    stirling_second,
     term_weight,
-    verify_d_recurrence,
 )
 
 

@@ -6,6 +6,7 @@ import re
 import pytest
 from conftest import PHI2_KNOWN, PHI5_FACTORED
 from hypothesis import given, settings, strategies as st
+from oracles import primes_upto
 
 from modpoly import (
     CoeffRequest,
@@ -21,7 +22,6 @@ from modpoly import (
     j_coefficients,
     partition_row,
     partitions,
-    primes_upto,
     recurrence_row,
     solve_full_polynomial,
     term_weight,

@@ -4,16 +4,13 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import full_multinomial, primes_upto, stirling_first, stirling_second
 
 from modpoly import (
     PartitionTerm,
     binomial,
-    full_multinomial,
     is_prime,
     partitions,
-    primes_upto,
-    stirling_first,
-    stirling_second,
 )
 
 # --- oracles -----------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from conftest import PHI5_FACTORED
 from hypothesis import given, strategies as st
+from oracles import primes_upto
 
 from modpoly import (
     ALL_CHECKS,
@@ -29,7 +30,6 @@ from modpoly import (
     required_two_valuation,
     solve_full_polynomial,
 )
-from modpoly.comb import primes_upto
 from modpoly.recurrence import solver_precision
 
 

@@ -685,6 +685,23 @@ def test_cli_check_file_refuses_kronecker_violation(tmp_path, capsys, change):
     )
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a change by a multiple of 7 off the top row passes both screens, so the "
+    "table reads as a counterexample to conj12 (exit 4); ROADMAP item 1 "
+    "verifies the whole table before judging it"))
+def test_cli_check_file_refuses_a_multiple_of_ell_off_the_top_row(tmp_path, capsys):
+    code, text, _ = run_cli(capsys, "poly", "--ell", "7", "--format", "text")
+    assert code == 0
+    change = 7 * 2**40 * 3**20
+    lines = text.splitlines()
+    (row,) = [i for i, line in enumerate(lines) if line.startswith("[3,1] ")]
+    lines[row] = "[3,1] %d" % (int(lines[row].split()[1]) + change)
+    path = tmp_path / "phi7.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "check", "--ell", "7", "--set", "prop22,prop23,conj25,conj12",
+                           "--file", str(path))
+    assert code == 2, out
+
 def test_cli_crosscheck(capsys):
     code, out, _ = run_cli(capsys, "crosscheck", "--ell", "5")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import PHI2_KNOWN, PHI5_FACTORED
 from hypothesis import given, settings, strategies as st
+from oracles import d_weight, verify_d_recurrence
 
 from modpoly import (
     InconsistentSystemError,
@@ -16,8 +17,6 @@ from modpoly import (
     PrecisionError,
     closed_row,
     coeff_recurrence,
-    d_weight,
-    full_multinomial,
     hypergeometric_row,
     j_coefficients,
     partitions,
@@ -25,7 +24,6 @@ from modpoly import (
     recurrence_row,
     solve_full_polynomial,
     term_weight,
-    verify_d_recurrence,
 )
 from modpoly import recurrence
 from modpoly.recurrence import solver_precision
