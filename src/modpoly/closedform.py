@@ -128,11 +128,11 @@ def partition_row(ell: int, j: JTable, m_max: int | None = None) -> list:
 def _partition_sums(ell: int, j: JTable, lo: int, hi: int) -> list:
     """[-1, then a_{ell,ell-m} for lo <= m <= hi, 0 between], for 1 <= lo.
 
-    The walk visits the multisets of parts >= 2 with sum s <= hi in
-    partitions' order (distinct parts largest first, each multiplicity most
-    first), carrying rest = hi - s, their count, prod c_{r-1}^t and prod t!
-    down each branch.  A node's term for m >= s in [lo, hi] has m - s ones:
-    one divmod of (-1)^u u! ell C(ell-m+u, u) by prod t! (m-s)!, two products.
+    The walk visits the multisets of parts >= 2 with sum s <= hi in the
+    order of partitions, which is this walk one term at a time, carrying
+    rest = hi - s, their count, prod c_{r-1}^t and prod t! down each branch.
+    A node's term for m >= s in [lo, hi] has m - s ones: one divmod of
+    (-1)^u u! ell C(ell-m+u, u) by prod t! (m-s)!, two products.
     A remainder at m raises what the per-m walks would: the m below it are
     walked one by one, then partitions(m) names its first term to fail.
     """

@@ -35,40 +35,21 @@ def partitions(m: int) -> Iterator[PartitionTerm]:
     (1,1,1,1) in that sequence.  Terms are produced incrementally; the
     full list is never materialized.
 
-    The partition is kept in multiplicity form, its distinct parts r
-    (increasing) and their multiplicities t, and stepped in place: take
-    one copy of the smallest part x > 1, and write it together with all
-    the 1s as parts x - 1 and at most one smaller remainder part.  Each
-    step is a fixed number of list operations at the front of r and t,
-    so the enumeration costs O(1) amortized per partition, plus building
-    the yielded tuples, one slot per distinct part (Zoghbi and
-    Stojmenovic, "Fast algorithms for generating integer partitions",
-    Int. J. Comput. Math. 70, 1998; Knuth, TAOCP 4A, 7.2.1.4).
+    This is closedform's walk, one term at a time: a partition is a
+    multiset of parts >= 2 with sum s plus m - s ones.  Each distinct part
+    is chosen from the largest down, its multiplicity from most to fewest,
+    and a multiset's own partition follows those of all its extensions.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    r = [m]
-    t = [1]
-    while True:
-        yield PartitionTerm(tuple(r), tuple(t))
-        ones = 0
-        if r[0] == 1:
-            ones = t[0]
-            del r[0], t[0]
-            if not r:
-                return
-        x = r[0]
-        if t[0] == 1:
-            del r[0], t[0]
-        else:
-            t[0] -= 1
-        count, rest = divmod(x + ones, x - 1)
-        if rest:
-            r[:0] = (rest, x - 1)
-            t[:0] = (1, count)
-        else:
-            r.insert(0, x - 1)
-            t.insert(0, count)
+
+    def walk(rest, top, r, t):
+        for part in range(min(top, rest), 1, -1):
+            for count in range(rest // part, 0, -1):
+                yield from walk(rest - count * part, part - 1, (part,) + r, (count,) + t)
+        yield PartitionTerm((1,) + r, (rest,) + t) if rest else PartitionTerm(r, t)
+
+    yield from walk(m, m, (), ())
 
 
 def binomial(n: int, k: int) -> int:

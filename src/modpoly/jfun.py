@@ -36,16 +36,11 @@ def euler_factor_series(precision: int) -> IntSeries:
     coeffs = [0] * precision
     coeffs[0] = 1
     k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 >= precision and g2 >= precision:
-            break
+    while (g1 := k * (3 * k - 1) // 2) < precision:  # pentagonal: g1 + k = k(3k+1)/2
         sign = -1 if k % 2 else 1
-        if g1 < precision:
-            coeffs[g1] = sign
-        if g2 < precision:
-            coeffs[g2] = sign
+        coeffs[g1] = sign
+        if g1 + k < precision:
+            coeffs[g1 + k] = sign
         k += 1
     return IntSeries(0, coeffs, precision)
 

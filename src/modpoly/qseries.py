@@ -160,14 +160,6 @@ class IntSeries:
                 out[off + i] += c
         return IntSeries(base, out, prec)
 
-    def __neg__(self):
-        return IntSeries(self.base_exponent, tuple(-c for c in self.coeffs), self.precision)
-
-    def __sub__(self, other):
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntSeries(

@@ -1,5 +1,6 @@
 """Combinatorial kernels, each validated against an independent oracle."""
 
+import inspect
 import math
 
 import pytest
@@ -116,6 +117,15 @@ def test_partition_term_invariants():
 def test_partitions_rejects_nonpositive():
     with pytest.raises(ValueError):
         next(partitions(0))
+
+
+def test_partitions_validates_lazily_as_a_generator_function():
+    # perfbench's tracer leaves generator functions unwrapped, and a bad m
+    # surfaces on the first next(), not when the generator is made
+    assert inspect.isgeneratorfunction(partitions)
+    gen = partitions(0)
+    with pytest.raises(ValueError):
+        next(gen)
 
 
 # --- binomial / multinomial --------------------------------------------
