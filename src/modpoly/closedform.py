@@ -183,8 +183,8 @@ def closed_row(ell: int, j: JTable, m_max: int | None = None) -> list:
     with J = sum_{r>=1} c_{r-1} q^r (see the module docstring), building
     J, J^2, ..., J^{m_max} in one pass, each truncated above q^{m_max}.
     The powers of J use a list convolution, not qseries, so a fault in
-    the power kernel, which starts recurrence_row's chain of powers and
-    closes each of them, cannot reach both this row and recurrence_row;
+    the power kernel, which closes each power of recurrence_row's chain
+    and raises its u to ell, cannot reach both this row and recurrence_row;
     both read one j table, checked by JTable's pinned c_0, c_1 and the j
     oracle tests.  Every grouped term must divide exactly by k, checked
     by _exact_quotient; a remainder raises IntegralityError.  Same values as

@@ -26,7 +26,7 @@ sums over those with s <= i only, so a sparse input such as the
 pentagonal Euler product (about 2*sqrt(2N/3) nonzero terms below q^N)
 costs O(sqrt N) products per coefficient instead of O(N).  The single
 step, _miller_next, also ends each power of the upward product chain in
-recurrence.recurrence_row.
+recurrence._u_series.
 
 Every provably exact division reports a remainder by _exact_quotient,
 which raises IntegralityError; only closedform's partition walk divides

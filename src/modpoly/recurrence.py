@@ -6,17 +6,20 @@ request check, no arithmetic), and not even that with
 closedform.hypergeometric_row, the top row the CLI serves.  That is what
 makes them usable as cross-checks:
 
-1. a power-series recurrence: letting jhat = q*j = 1 + 744 q + ..., the
-   top-row coefficients satisfy, for 0 < m <= ell,
+1. a power series in t = 1/j: with jhat = q*j = 1 + 744 q + ..., the
+   top-row coefficients are
 
-       a_{ell,ell-m} = - sum_{n=0}^{m-1} a_{ell,ell-n} * [q^{m-n}] jhat^{ell-n}
-                       - [m = ell] (ell+1) c_0
+       a_{ell,ell-m} = -[t^m] u^ell - [m = ell] (ell+1) c_0,    u = t/q,
 
-   with a_{ell,ell} = -1 starting the recursion, and [m = ell] is 1 at
-   m = ell and 0 below it.  recurrence_row builds the powers jhat^k it
-   reads upward, each from jhat^(k-1) with one big-int product per
+   where q is written as a series in t and [m = ell] is 1 at m = ell and
+   0 below it.  Lagrange inversion (Knuth, TAOCP vol. 2, 4.7) reads u off
+   the powers of jhat: u_0 = 1, u_1 = -c_0 and, for m >= 2,
+   u_m = -[q^m] jhat^(m-1) / (m-1), a checked division.  _u_series builds
+   those powers upward, each from the last with one big-int product per
    coefficient, and closes each with one checked step of the Miller
-   recurrence behind the series power kernel;
+   recurrence behind the series power kernel; that kernel then raises u
+   to ell.  u does not depend on ell, so one chain per j table serves
+   every level;
 
 2. a full solver that determines every a_{m,n} at once from the defining
    identity Phi_ell(j(ell z), j(z)) = 0, by exact elimination on the
@@ -39,7 +42,7 @@ from operator import add, mul
 from .closedform import _row_bound
 from .comb import _require_prime
 from .jfun import JTable
-from .qseries import IntSeries, _miller_next
+from .qseries import IntSeries, _exact_quotient, _miller_next
 
 __all__ = ["InconsistentSystemError", "ModularPolynomial", "coeff_recurrence",
            "polynomial_residual", "recurrence_row", "solve_full_polynomial"]
@@ -102,52 +105,65 @@ class ModularPolynomial:
         return "ModularPolynomial(ell=%d, %d entries)" % (self.ell, len(self._entries))
 
 
-_ROW_CACHE: dict = {}
+def _u_series(j: JTable, count: int, u, power) -> tuple:
+    """(u, power): u = t/q in t = 1/j extended to u_0 .. u_{count-1}, and its last power.
+
+    u_0 = 1, u_1 = -c_0 and u_m = -[q^m] jhat^(m-1) / (m-1) for m >= 2
+    (Lagrange inversion of t = q / jhat), each division checked.  The
+    powers come from an upward chain: jhat^k, known to q^(k+1), takes its
+    coefficients below q^(k+1) as dot products of jhat^(k-1) with jhat
+    and the last from one checked step of Miller's recurrence.  A prefix
+    u comes with the chain's last power, jhat^(len(u)-2) to q^(len(u)-1);
+    u = (1,) and power = (1, 0), jhat^0 to q^1, start the series.  Only
+    the last power is kept, and neither argument is modified.
+    """
+    if len(u) >= count:
+        return u, power
+    u = list(u)
+    f = j.hat_series(count).coeffs
+    terms = tuple(enumerate(f))  # the Miller step's (s, f_s), once per call
+    if len(u) == 1:
+        u.append(-f[1])
+    for m in range(len(u), count):
+        power = [sum(map(mul, f, power[d::-1])) for d in range(m)]
+        power.append(_miller_next(terms, power, m - 1))
+        u.append(-_exact_quotient(power[m], m - 1, "u_%d = -[q^%d] jhat^%d / %d", m, m, m - 1, m - 1))
+    return u, power
+
+
+_MEMO = [None] * 4  # the last j table, its u, the chain's last power, rows by ell
 
 
 def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
-    """[a_{ell,ell-m} for m = 0..m_max] via the power-series recurrence.
+    """[a_{ell,ell-m} for m = 0..m_max] as -[t^m] u^ell, u = t/q, t = 1/j.
 
-    The recurrence reads jhat^k only below q^(k - k0 + 2), where
-    k0 = ell - m_max + 1: a triangle, built as an upward product chain.
-    jhat^k0 is raised by ``**`` to its 2 coefficients.  Each next jhat^k
-    takes every coefficient but its last as one dot product of jhat^(k-1)
-    with jhat, and the last from one step of Miller's recurrence, whose
-    division is checked; so a power costs one big-int product per
-    coefficient.  The row sum indexes the powers as plain tuples, so a
-    power built one coefficient short raises IndexError.  Rows are
-    memoized per (ell, j-prefix).
+    u is truncated at t^m_max (_u_series) and raised to ell by ``**``,
+    whose steps are checked divisions; m = ell also takes -(ell+1) c_0.
+    One memo holds the last j table, its u, the last power of u's chain
+    and its rows by level: a row is a slice of a longer one at its level,
+    u is extended from the stored power when a row needs more of it, and
+    another table starts the memo afresh.  The memo changes only once a
+    row is complete, so a raised step leaves it as it was.
     """
     m_max = _row_bound(ell, m_max)
     j.require(m_max)
-    key = (ell, j.values[: ell + 1])
-    cached = _ROW_CACHE.get(key)
+    table, u, power, rows = _MEMO  # one read: a commit in another thread cannot split it
+    if table != j:
+        u, power, rows = (1,), (1, 0), {}
+    cached = rows.get(ell)
     if cached is not None and len(cached) > m_max:
-        return list(cached[: m_max + 1])
-
-    f = j.hat_series(m_max + 1).coeffs
-    terms = tuple(enumerate(f))  # the Miller step's (s, f_s), once per row
-    k0 = ell - m_max + 1
-    powers = []  # jhat^k0, jhat^(k0+1), ..., jhat^ell
-    if m_max:
-        powers.append((j.hat_series(2) ** k0).coeffs)
-    for k in range(k0 + 1, ell + 1):
-        prev = powers[-1]
-        power = [sum(map(mul, f, prev[d::-1])) for d in range(len(prev))]
-        power.append(_miller_next(terms, power, k))
-        powers.append(tuple(power))
-    powers.reverse()  # powers[n] is jhat^(ell-n)
-    row = [-1]
-    for m in range(1, m_max + 1):
-        row.append(-sum(row[n] * powers[n][m - n] for n in range(m)))
+        return cached[: m_max + 1]
+    u, power = _u_series(j, m_max + 1, u, power)
+    row = [-c for c in (IntSeries(0, u[: m_max + 1]) ** ell).coeffs]
     if m_max == ell:
         row[ell] -= (ell + 1) * j[0]
-    _ROW_CACHE[key] = list(row)
-    return row
+    rows[ell] = row
+    _MEMO[:] = j, u, power, rows
+    return row[:]
 
 
 def coeff_recurrence(ell: int, m: int, j: JTable) -> int:
-    """a_{ell, ell-m} from the recurrence; intermediate row values are memoized."""
+    """a_{ell, ell-m} from the recurrence row; rows are memoized per level."""
     return recurrence_row(ell, j, m)[m]
 
 

@@ -98,21 +98,27 @@ def test_recurrence_agrees_with_closed_form(ell):
     assert recurrence_row(ell, J) == closed_row(ell, J)
 
 
+def clear_memo():
+    # the next row starts the memo afresh, whatever its table
+    recurrence._MEMO[0] = None
+
+
 @pytest.mark.parametrize("ell", [2, 3, 5, 31, 97])
 def test_recurrence_row_triangle_boundary(ell):
-    # the shortest table allowed and an empty memo, so a power built one
-    # coefficient short raises instead of being masked; m_max = 2 is the
-    # shortest chain with a product step
+    # the shortest table allowed and an empty memo, so a chain power built
+    # one coefficient short raises instead of being masked; m_max = 2 is
+    # the shortest chain with a product step
     for m_max in sorted({0, 1, 2, ell // 2, ell - 1, ell}):
-        recurrence._ROW_CACHE.clear()
+        clear_memo()
         j = j_coefficients(max(m_max, 1))
         assert recurrence_row(ell, j, m_max) == closed_row(ell, j, m_max), m_max
 
 
 @pytest.mark.parametrize("ell, m_max", [(2, 2), (5, 5), (31, 9), (31, 31), (97, 40)])
 def test_recurrence_chain_powers_match_pow(monkeypatch, ell, m_max):
-    # every power the product chain builds equals jhat^k from the power kernel;
-    # a spy on the chain's closing Miller step sees each one complete
+    # every power the chain builds equals jhat^k from the power kernel, and
+    # every u_m is -[q^m] jhat^(m-1) / (m-1); a spy on the chain's closing
+    # Miller step sees each power complete
     built = {}
     real = recurrence._miller_next
 
@@ -122,17 +128,26 @@ def test_recurrence_chain_powers_match_pow(monkeypatch, ell, m_max):
         return value
 
     monkeypatch.setattr(recurrence, "_miller_next", spy)
-    recurrence._ROW_CACHE.clear()
+    clear_memo()
     recurrence_row(ell, J, m_max)
-    k0 = ell - m_max + 1
-    assert sorted(built) == list(range(k0 + 1, ell + 1))
+    assert sorted(built) == list(range(1, m_max))
     for k, coeffs in built.items():
-        assert coeffs == (J.hat_series(k - k0 + 2) ** k).coeffs, k
+        assert coeffs == (J.hat_series(k + 2) ** k).coeffs, k
+    u = recurrence._MEMO[1]
+    assert u[:2] == [1, -J[0]]
+    assert len(u) == m_max + 1
+    for m in range(2, m_max + 1):
+        assert u[m] == Fraction(-built[m - 1][m], m - 1), m
 
 
 def test_recurrence_row_matches_hypergeometric_at_199():
-    recurrence._ROW_CACHE.clear()
-    assert recurrence_row(199, j_coefficients(199)) == hypergeometric_row(199)
+    # levels in either order on a fresh memo: the first row builds u, a
+    # lower level reads a prefix of it, a higher one extends it
+    j = j_coefficients(199)
+    for levels in ((199, 101, 163, 131), (131, 163, 101, 199)):
+        clear_memo()
+        for ell in levels:
+            assert recurrence_row(ell, j) == hypergeometric_row(ell), (levels, ell)
 
 
 def test_recurrence_row_checks_the_miller_step(monkeypatch):
@@ -140,9 +155,34 @@ def test_recurrence_row_checks_the_miller_step(monkeypatch):
     # step's integrality guard turns into IntegralityError
     real = recurrence._miller_next
     monkeypatch.setattr(recurrence, "_miller_next", lambda f, g, alpha: real(f, g, alpha + 1))
-    recurrence._ROW_CACHE.clear()
+    clear_memo()
     with pytest.raises(IntegralityError, match="is not an integer"):
         recurrence_row(31, J)
+
+
+def test_recurrence_row_checks_each_u_division(monkeypatch):
+    # a corrupted chain power leaves a remainder in the division that reads
+    # u_m off it; neither that nor a failed ** once u is extended changes
+    # the memo, which only a complete row updates
+    clear_memo()
+    row = recurrence_row(5, J)
+    memo = [recurrence._MEMO[0], list(recurrence._MEMO[1]), recurrence._MEMO[2], dict(recurrence._MEMO[3])]
+    real = recurrence._miller_next
+    with monkeypatch.context() as patch:
+        patch.setattr(recurrence, "_miller_next", lambda f, g, alpha: real(f, g, alpha) + (alpha == 7))
+        with pytest.raises(IntegralityError, match=r"u_8 = -\[q\^8\] jhat\^7 / 7 is not an integer"):
+            recurrence_row(13, J)
+    assert recurrence._MEMO == memo
+
+    def failed_power(self, n):
+        raise IntegralityError("a step of the power kernel failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntSeries, "__pow__", failed_power)
+        with pytest.raises(IntegralityError, match="power kernel"):
+            recurrence_row(13, J)
+    assert recurrence._MEMO == memo
+    assert recurrence_row(5, J) == row
 
 
 def test_recurrence_row_prefix():
@@ -153,20 +193,58 @@ def test_recurrence_row_deterministic():
     assert recurrence_row(11, J) == recurrence_row(11, J)
 
 
+def test_recurrence_row_returns_a_copy():
+    # a caller may mutate what it gets; the memo keeps its own row
+    clear_memo()
+    first = recurrence_row(11, J)  # built
+    want = list(first)
+    first[3] = 0
+    second = recurrence_row(11, J)  # served from the memo
+    assert second == want
+    second[3] = 0
+    assert recurrence_row(11, J, 5) == want[:6]
+    assert recurrence_row(11, J) == want
+
+
 def test_recurrence_row_memo_builds_no_powers(monkeypatch):
     # a repeat request, or a shorter one, is served from the memo: with
     # series powers made to fail, only a memo miss would raise
-    recurrence._ROW_CACHE.clear()
+    clear_memo()
     row = recurrence_row(13, J)
 
     def no_powers(self, n):
         raise AssertionError("memo miss: recurrence_row raised a power")
 
-    monkeypatch.setattr(IntSeries, "__pow__", no_powers)
-    assert recurrence_row(13, J) == row
-    assert recurrence_row(13, J, m_max=5) == row[:6]
-    with pytest.raises(AssertionError, match="memo miss"):
-        recurrence_row(17, J)  # another level is a miss
+    with monkeypatch.context() as patch:
+        patch.setattr(IntSeries, "__pow__", no_powers)
+        assert recurrence_row(13, J) == row
+        assert recurrence_row(13, J, m_max=5) == row[:6]
+
+    # another level on the same table reads u's prefix: no chain power,
+    # and one ** for the row
+    real_pow = IntSeries.__pow__
+    powers = []
+
+    def count_powers(self, n):
+        powers.append(n)
+        return real_pow(self, n)
+
+    def no_chain(f, g, alpha):
+        raise AssertionError("recurrence_row built a chain power")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntSeries, "__pow__", count_powers)
+        patch.setattr(recurrence, "_miller_next", no_chain)
+        assert recurrence_row(11, J) == closed_row(11, J)
+    assert powers == [11]
+
+    # another table starts the memo afresh
+    other = j_coefficients(13)
+    recurrence_row(7, other)
+    table, u, power, rows = recurrence._MEMO
+    assert table is other
+    assert list(rows) == [7]
+    assert len(u) == 8 and len(power) == 8
 
 
 def test_recurrence_requires_enough_coefficients():
