@@ -263,12 +263,12 @@ def _column(check: str, index, prime: int, required, values) -> list:
                     zip(repeat(check), index, repeat(prime), required, observed)))
 
 
-def _report(ell: int, columns: list, holes: bool = False) -> CongruenceReport:
-    """The report of equal columns: their entries in turn, and with holes, holes (None) dropped."""
+def _report(ell: int, columns: list) -> CongruenceReport:
+    """The report of equal columns: their entries in turn, holes (None) dropped."""
     records = [None] * sum(map(len, columns))
     for c, column in enumerate(columns):
         records[c::len(columns)] = column
-    return CongruenceReport(ell, list(filter(None, records)) if holes else records)
+    return CongruenceReport(ell, list(filter(None, records)))
 
 
 def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
@@ -299,7 +299,6 @@ def check_row(ell: int, row, checks=ROW_CHECKS) -> CongruenceReport:
         column = [None] * ell
         column[graded] = _column("conj25", index[graded], 5, repeat(1), row[graded])
         columns.append(column)
-        return _report(ell, columns, holes=True)
     return _report(ell, columns)
 
 

@@ -217,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(format="json")
 
     p = sub.add_parser("check", help="run divisibility checkers, report pass/fail")
-    p.add_argument("--file", metavar="SUTHERLAND", help="check an ingested coefficient file")
+    p.add_argument("--file", metavar="SUTHERLAND", help="check the table in this file, in the "
+                   "'[m,n] value' text format that poly --format text writes")
     p.add_argument("--set", default=",".join(ROW_CHECKS),
                    help="comma list from %s (default %%(default)s)" % ",".join(ALL_CHECKS))
     common(p)
@@ -344,9 +345,9 @@ def _cmd_check(args) -> int:
                              "and read as 0\n" % (absent, pairs))
     elif conj12 and args.ell > SOLVER_FEASIBLE_MAX:
         raise ValueError(
-            "full-table checks for ell=%d need --file; the reference solver "
-            "is limited to ell <= %d" % (args.ell, SOLVER_FEASIBLE_MAX)
-        )
+            "full-table checks for ell=%d need --file: check solves whole tables itself only up "
+            "to ell = %d, and 'poly --ell %d --format text --out F' (ell <= %d) writes a table "
+            "for --file F" % (args.ell, SOLVER_FEASIBLE_MAX, args.ell, POLY_FEASIBLE_MAX))
     elif conj12:
         poly = solve_full_polynomial(args.ell, j_coefficients(solver_precision(args.ell)))
 

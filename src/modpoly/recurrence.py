@@ -1,10 +1,10 @@
 """Independent routes to modular polynomial coefficients.
 
-Two mechanisms live here, both sharing only the j-invariant table with
-closedform's partition sums (recurrence_row borrows closedform's row
-request check, no arithmetic), and not even that with
-closedform.hypergeometric_row, the top row the CLI serves.  That is what
-makes them usable as cross-checks:
+Two mechanisms live here.  Both run on qseries' kernels and share only
+the j-invariant table with closedform's partition sums (recurrence_row
+borrows closedform's row request check, no arithmetic), and nothing with
+hypergeometric_row, the top row the CLI serves.  Neither closedform row
+shares a series kernel with them, so crosscheck still separates routes:
 
 1. a power series in t = 1/j: with jhat = q*j = 1 + 744 q + ..., the
    top-row coefficients are
@@ -15,11 +15,11 @@ makes them usable as cross-checks:
    0 below it.  Lagrange inversion (Knuth, TAOCP vol. 2, 4.7) reads u off
    the powers of jhat: u_0 = 1, u_1 = -c_0 and, for m >= 2,
    u_m = -[q^m] jhat^(m-1) / (m-1), a checked division.  _u_series builds
-   those powers upward, each from the last with one big-int product per
-   coefficient, and closes each with one checked step of the Miller
-   recurrence behind the series power kernel; that kernel then raises u
-   to ell.  u does not depend on ell, so one chain per j table serves
-   every level;
+   those powers upward, each as the last times jhat by IntSeries.__mul__,
+   the product the solver's powers run on, and closes each with one
+   checked step of the Miller recurrence behind the series power kernel;
+   that kernel then raises u to ell.  u does not depend on ell, so one
+   chain per j table serves every level;
 
 2. a full solver that determines every a_{m,n} at once from the defining
    identity Phi_ell(j(ell z), j(z)) = 0, by exact elimination on the
@@ -111,21 +111,21 @@ def _u_series(j: JTable, count: int, u, power) -> tuple:
     u_0 = 1, u_1 = -c_0 and u_m = -[q^m] jhat^(m-1) / (m-1) for m >= 2
     (Lagrange inversion of t = q / jhat), each division checked.  The
     powers come from an upward chain: jhat^k, known to q^(k+1), takes its
-    coefficients below q^(k+1) as dot products of jhat^(k-1) with jhat
-    and the last from one checked step of Miller's recurrence.  A prefix
-    u comes with the chain's last power, jhat^(len(u)-2) to q^(len(u)-1);
-    u = (1,) and power = (1, 0), jhat^0 to q^1, start the series.  Only
-    the last power is kept, and neither argument is modified.
+    coefficients below q^(k+1) from IntSeries.__mul__ of jhat^(k-1) and
+    jhat, and the last from one checked step of Miller's recurrence.  A
+    prefix u comes with the chain's last power, jhat^(len(u)-2) to
+    q^(len(u)-1); u = (1,) and power = (1, 0), jhat^0 to q^1, start the
+    series.  Only the last power is kept, and no argument is modified.
     """
     if len(u) >= count:
         return u, power
     u = list(u)
-    f = j.hat_series(count).coeffs
-    terms = tuple(enumerate(f))  # the Miller step's (s, f_s), once per call
+    jhat = j.hat_series(count)
+    terms = tuple(enumerate(jhat.coeffs))  # the Miller step's (s, f_s), once per call
     if len(u) == 1:
-        u.append(-f[1])
+        u.append(-jhat.coeffs[1])
     for m in range(len(u), count):
-        power = [sum(map(mul, f, power[d::-1])) for d in range(m)]
+        power = list((IntSeries(0, power) * jhat).coeffs)
         power.append(_miller_next(terms, power, m - 1))
         u.append(-_exact_quotient(power[m], m - 1, "u_%d = -[q^%d] jhat^%d / %d", m, m, m - 1, m - 1))
     return u, power

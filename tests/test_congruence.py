@@ -459,6 +459,13 @@ def test_check_conjecture_div_records_match_naive_oracle(ell):
      "af41d12c49530b8db9d8891aded9379aee0d66606a9612b12c24b725a29b102d"),
     (("check", "--ell", "401", "--format", "json"),
      "118752c22e1411e0024c1ff838af92123e991fbc4f8cd1714a71a2eb70de75c3"),
+    # no conj25 column (prop22 alone, and ell = 5), and conj25 beside conj12
+    (("check", "--ell", "199", "--set", "prop22", "--format", "json"),
+     "a6767aa97a22804627a33b413e3e193e52d5396cf9f2dd27af434a5e34f2c4d1"),
+    (("check", "--ell", "5", "--format", "json"),
+     "122d1fd3835b31af72456f1ed26acda59cd4bb0a3d8653705f44b6b8abda8012"),
+    (("check", "--ell", "13", "--set", "prop22,prop23,conj25,conj12", "--format", "json"),
+     "8258832b05984a429c1cf30f3c980731980a150c488b22278cd71a875da70830"),
 ])
 def test_check_report_bytes_pinned(capsys, argv, sha256):
     code = cli_main(list(argv))

@@ -15,6 +15,7 @@ from conftest import PHI2_KNOWN, PHI5_FACTORED
 from hypothesis import given, settings, strategies as st
 
 from modpoly import (
+    IntSeries,
     ModularPolynomial,
     SutherlandParseError,
     check_row,
@@ -28,7 +29,7 @@ from modpoly import (
     recurrence_row,
     solve_full_polynomial,
 )
-from modpoly import io_cli
+from modpoly import io_cli, recurrence
 
 PHI5 = ModularPolynomial(5, dict(PHI5_FACTORED))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -477,6 +478,8 @@ def test_cli_check_conj12_infeasible_without_file(capsys):
     code, _, err = run_cli(capsys, "check", "--ell", "17", "--set", "conj12")
     assert code == 2
     assert "--file" in err
+    # poly, not check, solves tables past ell = 13, and writes one --file reads
+    assert "'poly --ell 17 --format text --out F' (ell <= 23)" in err
 
 
 def test_cli_check_file_pass(tmp_path, capsys):
@@ -771,6 +774,29 @@ def test_cli_crosscheck_compares_the_hypergeometric_row_on_every_m(capsys, monke
         "MISMATCH at m=23: closed=%d, hypergeometric=%d, recurrence=%d\n"
         "crosscheck: MISMATCH (1 of 24 rows)\n" % (good, good + 1, good)
     ))
+
+
+@pytest.mark.parametrize("ell", [13, 19])  # the solver runs at 13, not at 19
+def test_cli_crosscheck_catches_a_fault_in_the_series_product(capsys, monkeypatch, ell):
+    # recurrence_row's chain (and, at 13, the solver) runs on IntSeries.__mul__;
+    # the closed and hypergeometric rows do not, so a wrong product cannot pass
+    real = IntSeries.__mul__
+
+    def off_by_one_at_the_end(self, other):
+        out = real(self, other)
+        return IntSeries(out.base_exponent, out.coeffs[:-1] + (out.coeffs[-1] + 1,), out.precision)
+
+    recurrence._MEMO[0] = None
+    recurrence._power_table.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(IntSeries, "__mul__", off_by_one_at_the_end)
+            code, out, _ = run_cli(capsys, "crosscheck", "--ell", str(ell))
+    finally:
+        recurrence._MEMO[0] = None
+        recurrence._power_table.cache_clear()
+    assert code != 0
+    assert "crosscheck: OK" not in out
 
 
 def test_cli_usage_errors(capsys):

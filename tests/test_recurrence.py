@@ -208,20 +208,24 @@ def test_recurrence_row_returns_a_copy():
 
 def test_recurrence_row_memo_builds_no_powers(monkeypatch):
     # a repeat request, or a shorter one, is served from the memo: with
-    # series powers made to fail, only a memo miss would raise
+    # series powers and products made to fail, only a memo miss would raise
     clear_memo()
     row = recurrence_row(13, J)
 
     def no_powers(self, n):
         raise AssertionError("memo miss: recurrence_row raised a power")
 
+    def no_products(self, other):
+        raise AssertionError("recurrence_row formed a series product")
+
     with monkeypatch.context() as patch:
         patch.setattr(IntSeries, "__pow__", no_powers)
+        patch.setattr(IntSeries, "__mul__", no_products)
         assert recurrence_row(13, J) == row
         assert recurrence_row(13, J, m_max=5) == row[:6]
 
-    # another level on the same table reads u's prefix: no chain power,
-    # and one ** for the row
+    # another level on the same table reads u's prefix: no chain product
+    # or power, and one ** for the row
     real_pow = IntSeries.__pow__
     powers = []
 
@@ -234,6 +238,7 @@ def test_recurrence_row_memo_builds_no_powers(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(IntSeries, "__pow__", count_powers)
+        patch.setattr(IntSeries, "__mul__", no_products)
         patch.setattr(recurrence, "_miller_next", no_chain)
         assert recurrence_row(11, J) == closed_row(11, J)
     assert powers == [11]
