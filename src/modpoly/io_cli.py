@@ -100,6 +100,9 @@ def parse_sutherland(text) -> SutherlandFile:
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
     text = text.removeprefix("\ufeff")
+    if text.lstrip().startswith("{"):
+        raise SutherlandParseError("this looks like poly's JSON output; --file reads the"
+                                   " '[m,n] value' lines that poly --format text writes")
     header_ell = None
     seen = {}  # (m, n) -> value, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):

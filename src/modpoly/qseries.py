@@ -24,9 +24,9 @@ Arithmetic tracks precision pessimistically:
 call lists the nonzero terms (s, f_s) of the input once, and each step
 sums over those with s <= i only, so a sparse input such as the
 pentagonal Euler product (about 2*sqrt(2N/3) nonzero terms below q^N)
-costs O(sqrt N) products per coefficient instead of O(N).  The upward
-product chain in recurrence._u_series runs on both kernels: each power is
-the last times jhat by ``*``, closed by one step of _miller_next.
+costs O(sqrt N) products per coefficient instead of O(N).
+recurrence._u_series runs on both kernels: its baby powers of jhat are
+``*`` products and its giant powers are ``**``.
 
 Every provably exact division reports a remainder by _exact_quotient,
 which raises IntegralityError; only closedform's partition walk divides

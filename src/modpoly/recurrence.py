@@ -14,12 +14,11 @@ shares a series kernel with them, so crosscheck still separates routes:
    where q is written as a series in t and [m = ell] is 1 at m = ell and
    0 below it.  Lagrange inversion (Knuth, TAOCP vol. 2, 4.7) reads u off
    the powers of jhat: u_0 = 1, u_1 = -c_0 and, for m >= 2,
-   u_m = -[q^m] jhat^(m-1) / (m-1), a checked division.  _u_series builds
-   those powers upward, each as the last times jhat by IntSeries.__mul__,
-   the product the solver's powers run on, and closes each with one
-   checked step of the Miller recurrence behind the series power kernel;
-   that kernel then raises u to ell.  u does not depend on ell, so one
-   chain per j table serves every level;
+   u_m = -[q^m] jhat^(m-1) / (m-1), a checked division.  _u_series reads
+   each diagonal coefficient as one dot product of a baby power (by
+   IntSeries.__mul__) and a giant power (by ``**``), never forming the
+   powers between; the power kernel then raises u to ell.  u does not depend
+   on ell, so one u per j table serves every level;
 
 2. a full solver that determines every a_{m,n} at once from the defining
    identity Phi_ell(j(ell z), j(z)) = 0, by exact elimination on the
@@ -37,12 +36,13 @@ shares a series kernel with them, so crosscheck still separates routes:
 from __future__ import annotations
 
 import functools
+from math import isqrt
 from operator import add, mul
 
 from .closedform import _row_bound
 from .comb import _require_prime
 from .jfun import JTable
-from .qseries import IntSeries, _exact_quotient, _miller_next
+from .qseries import IntSeries, _exact_quotient
 
 __all__ = ["InconsistentSystemError", "ModularPolynomial", "coeff_recurrence",
            "polynomial_residual", "recurrence_row", "solve_full_polynomial"]
@@ -105,33 +105,38 @@ class ModularPolynomial:
         return "ModularPolynomial(ell=%d, %d entries)" % (self.ell, len(self._entries))
 
 
-def _u_series(j: JTable, count: int, u, power) -> tuple:
-    """(u, power): u = t/q in t = 1/j extended to u_0 .. u_{count-1}, and its last power.
+def _u_series(j: JTable, count: int, u) -> list:
+    """u = t/q in t = 1/j, extended from its prefix u to u_0 .. u_{count-1}.
 
     u_0 = 1, u_1 = -c_0 and u_m = -[q^m] jhat^(m-1) / (m-1) for m >= 2
-    (Lagrange inversion of t = q / jhat), each division checked.  The
-    powers come from an upward chain: jhat^k, known to q^(k+1), takes its
-    coefficients below q^(k+1) from IntSeries.__mul__ of jhat^(k-1) and
-    jhat, and the last from one checked step of Miller's recurrence.  A
-    prefix u comes with the chain's last power, jhat^(len(u)-2) to
-    q^(len(u)-1); u = (1,) and power = (1, 0), jhat^0 to q^1, start the
-    series.  Only the last power is kept, and no argument is modified.
+    (Lagrange inversion of t = q / jhat), each division checked, read by
+    baby-step giant-step (Paterson-Stockmeyer; Brent-Kung 1978): with
+    g = isqrt(count) and m-1 = a*g + b, [q^m] jhat^(m-1) is one dot
+    product of the giant jhat^(a*g), by ``**`` to q^((a+1)g+1) or q^count,
+    with the reversed baby jhat^b, by IntSeries.__mul__ to q^count.  Only
+    the giants the new m need are built; u = (1,) starts the series.
     """
     if len(u) >= count:
-        return u, power
+        return u
     u = list(u)
     jhat = j.hat_series(count)
-    terms = tuple(enumerate(jhat.coeffs))  # the Miller step's (s, f_s), once per call
     if len(u) == 1:
         u.append(-jhat.coeffs[1])
+    g = isqrt(count)
+    babies = [IntSeries.one(count), jhat]
+    while len(babies) < g:
+        babies.append(babies[-1] * jhat)
+    giant = None
     for m in range(len(u), count):
-        power = list((IntSeries(0, power) * jhat).coeffs)
-        power.append(_miller_next(terms, power, m - 1))
-        u.append(-_exact_quotient(power[m], m - 1, "u_%d = -[q^%d] jhat^%d / %d", m, m, m - 1, m - 1))
-    return u, power
+        a, b = divmod(m - 1, g)
+        if b == 0 or giant is None:
+            giant = IntSeries(0, jhat.coeffs, min((a + 1) * g + 1, count)) ** (a * g)
+        diagonal = sum(map(mul, giant.coeffs[: m + 1], babies[b].coeffs[m::-1]))
+        u.append(-_exact_quotient(diagonal, m - 1, "u_%d = -[q^%d] jhat^%d / %d", m, m, m - 1, m - 1))
+    return u
 
 
-_MEMO = [None] * 4  # the last j table, its u, the chain's last power, rows by ell
+_MEMO = [None] * 3  # the last j table, its u, rows by ell
 
 
 def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
@@ -139,26 +144,26 @@ def recurrence_row(ell: int, j: JTable, m_max: int | None = None) -> list:
 
     u is truncated at t^m_max (_u_series) and raised to ell by ``**``,
     whose steps are checked divisions; m = ell also takes -(ell+1) c_0.
-    One memo holds the last j table, its u, the last power of u's chain
-    and its rows by level: a row is a slice of a longer one at its level,
-    u is extended from the stored power when a row needs more of it, and
-    another table starts the memo afresh.  The memo changes only once a
-    row is complete, so a raised step leaves it as it was.
+    One memo holds the last j table, its u and its rows by level: a row
+    is a slice of a longer one at its level, u is extended from its
+    prefix when a row needs more of it, and another table starts the
+    memo afresh.  The memo changes only once a row is complete, so a
+    raised step leaves it as it was.
     """
     m_max = _row_bound(ell, m_max)
     j.require(m_max)
-    table, u, power, rows = _MEMO  # one read: a commit in another thread cannot split it
+    table, u, rows = _MEMO  # one read: a commit in another thread cannot split it
     if table != j:
-        u, power, rows = (1,), (1, 0), {}
+        u, rows = (1,), {}
     cached = rows.get(ell)
     if cached is not None and len(cached) > m_max:
         return cached[: m_max + 1]
-    u, power = _u_series(j, m_max + 1, u, power)
+    u = _u_series(j, m_max + 1, u)
     row = [-c for c in (IntSeries(0, u[: m_max + 1]) ** ell).coeffs]
     if m_max == ell:
         row[ell] -= (ell + 1) * j[0]
     rows[ell] = row
-    _MEMO[:] = j, u, power, rows
+    _MEMO[:] = j, u, rows
     return row[:]
 
 

@@ -302,6 +302,19 @@ def test_cli_poly_text_round_trip(capsys):
     )
 
 
+def test_cli_check_file_names_poly_json_output(tmp_path, capsys):
+    # poly's default JSON fed to check --file gets a hint toward the text
+    # format, not a bare malformed-line error; the exit code stays 2
+    code, out, _ = run_cli(capsys, "poly", "--ell", "5")
+    assert code == 0
+    path = tmp_path / "p.json"
+    path.write_text("\n" + out)
+    code, out, err = run_cli(capsys, "check", "--ell", "5", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: this looks like poly's JSON output; --file reads the"
+                   " '[m,n] value' lines that poly --format text writes\n")
+
+
 def test_cli_out_writes_file(tmp_path, capsys):
     target = tmp_path / "row.txt"
     code, out, _ = run_cli(
@@ -778,7 +791,7 @@ def test_cli_crosscheck_compares_the_hypergeometric_row_on_every_m(capsys, monke
 
 @pytest.mark.parametrize("ell", [13, 19])  # the solver runs at 13, not at 19
 def test_cli_crosscheck_catches_a_fault_in_the_series_product(capsys, monkeypatch, ell):
-    # recurrence_row's chain (and, at 13, the solver) runs on IntSeries.__mul__;
+    # recurrence_row's baby powers (and, at 13, the solver) run on IntSeries.__mul__;
     # the closed and hypergeometric rows do not, so a wrong product cannot pass
     real = IntSeries.__mul__
 

@@ -1,6 +1,7 @@
 """Recurrence row oracle, d-weight bookkeeping, and the full-polynomial solver."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from conftest import PHI2_KNOWN, PHI5_FACTORED
@@ -105,39 +106,65 @@ def clear_memo():
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 31, 97])
 def test_recurrence_row_triangle_boundary(ell):
-    # the shortest table allowed and an empty memo, so a chain power built
-    # one coefficient short raises instead of being masked; m_max = 2 is
-    # the shortest chain with a product step
+    # the shortest table allowed and an empty memo, so a baby or giant
+    # power built one coefficient short raises instead of being masked;
+    # m_max = 2 is the shortest u with a giant, and m_max >= 8 (g >= 3)
+    # the shortest with a baby formed by a product
     for m_max in sorted({0, 1, 2, ell // 2, ell - 1, ell}):
         clear_memo()
         j = j_coefficients(max(m_max, 1))
         assert recurrence_row(ell, j, m_max) == closed_row(ell, j, m_max), m_max
 
 
+def spy(monkeypatch, name, calls):
+    # wrap IntSeries.<name>, logging (self, other, result) per call
+    real = getattr(IntSeries, name)
+
+    def logged(self, other):
+        out = real(self, other)
+        calls.append((self, other, out))
+        return out
+
+    monkeypatch.setattr(IntSeries, name, logged)
+
+
 @pytest.mark.parametrize("ell, m_max", [(2, 2), (5, 5), (31, 9), (31, 31), (97, 40)])
 def test_recurrence_chain_powers_match_pow(monkeypatch, ell, m_max):
-    # every power the chain builds equals jhat^k from the power kernel, and
-    # every u_m is -[q^m] jhat^(m-1) / (m-1); a spy on the chain's closing
-    # Miller step sees each power complete
-    built = {}
-    real = recurrence._miller_next
-
-    def spy(f, g, alpha):
-        value = real(f, g, alpha)
-        built[alpha] = tuple(g) + (value,)
-        return value
-
-    monkeypatch.setattr(recurrence, "_miller_next", spy)
+    # every baby (a product) and giant (a **) that u's build forms equals
+    # jhat^k from the power kernel to its precision, each giant is built
+    # once, and every u_m is -[q^m] jhat^(m-1) / (m-1)
+    products, powers = [], []
+    spy(monkeypatch, "__mul__", products)
+    spy(monkeypatch, "__pow__", powers)
     clear_memo()
     recurrence_row(ell, J, m_max)
-    assert sorted(built) == list(range(1, m_max))
-    for k, coeffs in built.items():
-        assert coeffs == (J.hat_series(k + 2) ** k).coeffs, k
+    monkeypatch.undo()
+    count = m_max + 1
+    g = isqrt(count)
+    assert len(products) == max(g - 2, 0)
+    for k, (_, _, baby) in enumerate(products, start=2):
+        assert baby == J.hat_series(count) ** k, k
+    *giants, (_, last, _) = powers
+    assert last == ell
+    assert [n for _, n, _ in giants] == sorted({(m - 1) // g * g for m in range(2, count)})
+    for base, n, giant in giants:
+        assert base == J.hat_series(base.precision)
+        assert giant == J.hat_series(min(n + g + 1, count)) ** n, n
     u = recurrence._MEMO[1]
     assert u[:2] == [1, -J[0]]
-    assert len(u) == m_max + 1
-    for m in range(2, m_max + 1):
-        assert u[m] == Fraction(-built[m - 1][m], m - 1), m
+    assert len(u) == count
+    for m in range(2, count):
+        assert u[m] == Fraction(-(J.hat_series(m + 1) ** (m - 1)).coefficient(m), m - 1), m
+
+
+def test_recurrence_u_extended_one_count_at_a_time():
+    # each extension rebuilds the babies at its own g = isqrt(count), so
+    # g changes along the way; the series is the one built in one call
+    u = (1,)
+    for count in range(2, 62):
+        u = recurrence._u_series(J, count, u)
+    assert u == recurrence._u_series(J, 61, (1,))
+    assert recurrence._u_series(J, 61, u) is u
 
 
 def test_recurrence_row_matches_hypergeometric_at_199():
@@ -151,27 +178,39 @@ def test_recurrence_row_matches_hypergeometric_at_199():
 
 
 def test_recurrence_row_checks_the_miller_step(monkeypatch):
-    # a chain step with its exponent off by one leaves a remainder that the
-    # step's integrality guard turns into IntegralityError
-    real = recurrence._miller_next
-    monkeypatch.setattr(recurrence, "_miller_next", lambda f, g, alpha: real(f, g, alpha + 1))
+    # a giant raised one exponent too high is a true power, every Miller
+    # step exact, but the division that reads u_m off it leaves a remainder
+    real = IntSeries.__pow__
+    monkeypatch.setattr(IntSeries, "__pow__", lambda self, n: real(self, n + 1))
     clear_memo()
-    with pytest.raises(IntegralityError, match="is not an integer"):
+    with pytest.raises(IntegralityError, match=r"u_6 = -\[q\^6\] jhat\^5 / 5 is not an integer"):
         recurrence_row(31, J)
 
 
 def test_recurrence_row_checks_each_u_division(monkeypatch):
-    # a corrupted chain power leaves a remainder in the division that reads
-    # u_m off it; neither that nor a failed ** once u is extended changes
-    # the memo, which only a complete row updates
+    # a baby product corrupted at q^7 leaves a remainder in the division
+    # that reads u_m off it; neither that, nor a giant one exponent too
+    # high, nor a failed ** once u is extended changes the memo, which
+    # only a complete row updates
     clear_memo()
     row = recurrence_row(5, J)
-    memo = [recurrence._MEMO[0], list(recurrence._MEMO[1]), recurrence._MEMO[2], dict(recurrence._MEMO[3])]
-    real = recurrence._miller_next
+    memo = [recurrence._MEMO[0], list(recurrence._MEMO[1]), dict(recurrence._MEMO[2])]
+    real_mul, real_pow = IntSeries.__mul__, IntSeries.__pow__
+
+    def corrupt_at_q7(self, other):
+        out = real_mul(self, other)
+        return IntSeries(0, [c + (e == 7) for e, c in enumerate(out.coeffs)], out.precision)
+
     with monkeypatch.context() as patch:
-        patch.setattr(recurrence, "_miller_next", lambda f, g, alpha: real(f, g, alpha) + (alpha == 7))
-        with pytest.raises(IntegralityError, match=r"u_8 = -\[q\^8\] jhat\^7 / 7 is not an integer"):
-            recurrence_row(13, J)
+        patch.setattr(IntSeries, "__mul__", corrupt_at_q7)
+        with pytest.raises(IntegralityError, match=r"u_7 = -\[q\^7\] jhat\^6 / 6 is not an integer"):
+            recurrence_row(19, J)
+    assert recurrence._MEMO == memo
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntSeries, "__pow__", lambda self, n: real_pow(self, n + 1))
+        with pytest.raises(IntegralityError, match=r"u_\d+ = .* is not an integer"):
+            recurrence_row(19, J)
     assert recurrence._MEMO == memo
 
     def failed_power(self, n):
@@ -224,32 +263,23 @@ def test_recurrence_row_memo_builds_no_powers(monkeypatch):
         assert recurrence_row(13, J) == row
         assert recurrence_row(13, J, m_max=5) == row[:6]
 
-    # another level on the same table reads u's prefix: no chain product
-    # or power, and one ** for the row
-    real_pow = IntSeries.__pow__
+    # another level on the same table reads u's prefix: no product, and
+    # one ** for the row
     powers = []
-
-    def count_powers(self, n):
-        powers.append(n)
-        return real_pow(self, n)
-
-    def no_chain(f, g, alpha):
-        raise AssertionError("recurrence_row built a chain power")
-
     with monkeypatch.context() as patch:
-        patch.setattr(IntSeries, "__pow__", count_powers)
+        spy(patch, "__pow__", powers)
         patch.setattr(IntSeries, "__mul__", no_products)
-        patch.setattr(recurrence, "_miller_next", no_chain)
         assert recurrence_row(11, J) == closed_row(11, J)
-    assert powers == [11]
+    assert [n for _, n, _ in powers] == [11]
 
     # another table starts the memo afresh
     other = j_coefficients(13)
     recurrence_row(7, other)
-    table, u, power, rows = recurrence._MEMO
+    assert len(recurrence._MEMO) == 3
+    table, u, rows = recurrence._MEMO
     assert table is other
     assert list(rows) == [7]
-    assert len(u) == 8 and len(power) == 8
+    assert len(u) == 8
 
 
 def test_recurrence_requires_enough_coefficients():
