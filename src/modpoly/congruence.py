@@ -216,33 +216,39 @@ class CongruenceReport(NamedTuple("CongruenceReport", [("ell", int), ("records",
 
     def to_json_text(self) -> str:
         """json.dumps(self.to_json_dict(), indent=2) + "\\n", one % per record."""
-        flags, summary, stats = self._walk()
-        checks = ",\n".join(
-            _record_json(len(r.index)) % (_json_string(r.check), *r.index, r.prime, r.required,
-                                          r.observed, "pass" if ok else "fail", r.severity)
-            for r, ok in zip(self.records, flags))
-        return '{\n  "ell": %d,\n  "checks": %s,\n  "summary": %s,\n  "stats": %s\n}\n' % (
-            self.ell, "[\n%s\n  ]" % checks if checks else "[]",
-            _json_pairs(summary.items(), ("pass", "fail")),
-            _json_pairs(stats.items(), ("indivisible", "total")))
+        return self._render(True, False)[1]
 
     def to_text(self) -> str:
         """One FAIL line per failed record, the tallies, and the verdict."""
+        return self._render(False, True)[2]
+
+    def _render(self, want_json: bool, want_text: bool) -> tuple:
+        """(verdict, to_json_text or None, to_text or None), all from one walk."""
         flags, summary, stats = self._walk()
         failures = [r for r, ok in zip(self.records, flags) if not ok]
-        lines = ["FAIL %s [%s]: ord_%d = %s, required %d (%s)" % (
-            r.check, ",".join(map(str, r.index)), r.prime, r.observed, r.required, r.severity)
-            for r in failures]
-        for name, (passed, failed) in sorted(summary.items()):
-            lines.append("%s: %d checked, %d failed" % (name, passed + failed, failed))
-        for key, (hit, total) in sorted(stats.items()):
-            lines.append("note: %s: %d of %d" % (key, hit, total))
-        verdict = _verdict(failures)
-        if verdict != "OK":
-            kind = "proved" if verdict == "FATAL" else "conjectural"
-            count = sum(r.severity == verdict for r in failures)
-            verdict = "%s (%d %s statements failed)" % (verdict, count, kind)
-        return "\n".join(lines + ["result: " + verdict]) + "\n"
+        verdict, json_text, text = _verdict(failures), None, None
+        if want_json:
+            checks = ",\n".join(
+                _record_json(len(r.index)) % (_json_string(r.check), *r.index, r.prime, r.required,
+                                              r.observed, "pass" if ok else "fail", r.severity)
+                for r, ok in zip(self.records, flags))
+            json_text = '{\n  "ell": %d,\n  "checks": %s,\n  "summary": %s,\n  "stats": %s\n}\n' % (
+                self.ell, "[\n%s\n  ]" % checks if checks else "[]",
+                _json_pairs(summary.items(), ("pass", "fail")),
+                _json_pairs(stats.items(), ("indivisible", "total")))
+        if want_text:
+            lines = ["FAIL %s [%s]: ord_%d = %s, required %d (%s)" % (
+                r.check, ",".join(map(str, r.index)), r.prime, r.observed, r.required, r.severity)
+                for r in failures]
+            for name, (passed, failed) in sorted(summary.items()):
+                lines.append("%s: %d checked, %d failed" % (name, passed + failed, failed))
+            for key, (hit, total) in sorted(stats.items()):
+                lines.append("note: %s: %d of %d" % (key, hit, total))
+            count = "" if verdict == "OK" else " (%d %s statements failed)" % (
+                sum(r.severity == verdict for r in failures),
+                "proved" if verdict == "FATAL" else "conjectural")
+            text = "\n".join(lines + ["result: " + verdict + count]) + "\n"
+        return verdict, json_text, text
 
 
 def _verdict(failures) -> str:

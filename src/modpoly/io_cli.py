@@ -371,12 +371,14 @@ def _cmd_check(args) -> int:
             sys.stderr.write("note: %s covers no coefficient at ell=%d\n" % (name, args.ell))
     report = CongruenceReport(args.ell, records)
 
-    # --out always receives the JSON report; the text report still goes to stdout
-    if args.out or args.format == "json":
-        _deliver(args, report.to_json_text())
-    if args.out or args.format == "text":
-        sys.stdout.write(report.to_text())
-    return {"OK": 0, "FATAL": 3, "COUNTEREXAMPLE": 4}[report.verdict]
+    # --out gets the JSON report, stdout the text one; the exit code is the writer's verdict
+    verdict, json_text, text = report._render(bool(args.out) or args.format == "json",
+                                              bool(args.out) or args.format == "text")
+    if json_text is not None:
+        _deliver(args, json_text)
+    if text is not None:
+        sys.stdout.write(text)
+    return {"OK": 0, "FATAL": 3, "COUNTEREXAMPLE": 4}[verdict]
 
 
 def _cmd_crosscheck(args) -> int:

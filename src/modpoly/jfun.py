@@ -17,7 +17,8 @@ product.  E4^3 comes from Ramanujan's identity
 and Delta), one checked division by 691 per coefficient; then
 j * Delta = E4^3 is solved for j term by term.
 Its coefficients c_i (i >= -1) are what the closed coefficient formulas
-consume, packaged in a JTable indexed from -1.
+consume, packaged in a JTable indexed from -1.  They do not depend on
+the level: the process holds one grow-only table, and serves prefixes.
 """
 
 from __future__ import annotations
@@ -157,19 +158,31 @@ class JTable:
         return IntSeries(0, self.values[:precision], precision)
 
 
+_VALUES = [()]  # the longest c_{-1}, c_0, ... computed in this process
+
+
 def j_coefficients(count: int) -> JTable:
     """Compute c_{-1} .. c_{count-1} exactly from j * Delta = E4^3.
 
     E4^3 is read off Delta and a sigma_11 sieve (_e4_cubed), with no series
     product.  With Delta = q * sum a_k q^k and a_0 = 1, the coefficient of
-    q^i reads c_{i-1} = [q^i] E4^3 - sum_{k=1..i} a_k c_{i-1-k}.
+    q^i reads c_{i-1} = [q^i] E4^3 - sum_{k=1..i} a_k c_{i-1-k}.  A
+    request is a prefix of the longest tuple computed in the process; a
+    longer one rebuilds Delta and E4^3, each coefficient through the 691
+    check, continues the recurrence from where the tuple stops, and
+    replaces it once complete, so a raise leaves it as it was.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    values = _VALUES[0]
+    if len(values) > count:
+        return JTable(values[: count + 1])
     delta = delta_series(count + 2)
     cube = _e4_cubed(delta, count + 1)
     a = delta.coeffs
-    values = []
-    for i in range(count + 1):
+    values = list(values)
+    for i in range(len(values), count + 1):
         values.append(cube[i] - sum(map(mul, a[1 : i + 1], reversed(values))))
-    return JTable(tuple(values))
+    table = JTable(tuple(values))  # its pins are checked before the commit
+    _VALUES[0] = table.values
+    return table

@@ -14,7 +14,7 @@ Arithmetic tracks precision pessimistically:
   b.precision + a.base_exponent), the first exponent at which an unknown
   coefficient of either factor could contribute; each result coefficient
   is one dot product of a block of one factor with the reversed block of
-  the other;
+  the other, by _product, which recurrence's powers of j share;
 * pow: series ** n has base n * base_exponent and keeps the input's
   relative precision, precision - base_exponent, as n - 1 products would;
 * invert: requires a unit leading coefficient (+1 or -1) so the inverse
@@ -172,12 +172,9 @@ class IntSeries:
             self.precision + other.base_exponent,
             other.precision + self.base_exponent,
         )
-        a, b = self.coeffs, other.coeffs
-        # a block runs from base to precision, so prec - base is
-        # min(len(a), len(b)) and [q^(base+d)] pairs every a[i], i <= d,
-        # with b[d-i]
-        out = [sum(map(mul, a[: d + 1], b[d::-1])) for d in range(prec - base)]
-        return IntSeries(base, out, prec)
+        # a block runs from its base to its precision, so prec - base is
+        # the shorter block's length, as _product needs
+        return IntSeries(base, _product(self.coeffs, other.coeffs, 0, prec - base), prec)
 
     __rmul__ = __mul__
 
@@ -232,6 +229,16 @@ class IntSeries:
         for _ in range(1, count):
             g.append(_miller_next(terms, g, alpha))
         return g
+
+
+def _product(a, b, start: int, stop: int) -> list:
+    """Coefficients start .. stop-1 of the product of blocks a and b, both from q^0.
+
+    [q^d] pairs every a[i], i <= d, with b[d-i], as one dot product; stop <=
+    min(len(a), len(b)).  IntSeries.__mul__ (start = 0) and the store of
+    the powers of j in recurrence share it.
+    """
+    return [sum(map(mul, a[: d + 1], b[d::-1])) for d in range(start, stop)]
 
 
 def _miller_next(terms, g, alpha: int) -> int:

@@ -26,23 +26,22 @@ shares a series kernel with them, so crosscheck still separates routes:
    as the sum of j(ell z)^m * Q_m(j(z)) with Q_m(Y) = sum_n a_{m,n} Y^n,
    in plain coefficient lists; polynomial_residual checks a table by
    the same evaluation.  Only the powers j(z)^k are multiplied out, by
-   IntSeries products, and they are the one O(ell^5) stage.  They are
-   built once per (ell, j table) and shared: a solve and a later residual
-   check on an equal j table read the same tuple of powers.  The last
-   table built is held for the life of the process (README gives its
-   size), and building another replaces it.
+   qseries' product kernel, and they are the one O(ell^5) stage.  They
+   do not depend on ell: the process holds one grow-only store of them
+   (README gives its size), a solve or residual check reads slices, a
+   higher level or longer j table forms only what the store lacks, and
+   a table that disagrees with it starts it afresh.
 """
 
 from __future__ import annotations
 
-import functools
 from math import isqrt
 from operator import add, mul
 
 from .closedform import _row_bound
 from .comb import _require_prime
 from .jfun import JTable
-from .qseries import IntSeries, _exact_quotient
+from .qseries import IntSeries, _exact_quotient, _product
 
 __all__ = ["InconsistentSystemError", "ModularPolynomial", "coeff_recurrence",
            "polynomial_residual", "recurrence_row", "solve_full_polynomial"]
@@ -183,22 +182,36 @@ def _axpy(dst: list, offset: int, c: int, src) -> None:
     dst[offset:end] = map(add, dst[offset:end], map(c.__mul__, src))
 
 
-@functools.lru_cache(maxsize=1)
+_POWERS = [(), ()]  # the longest j values seen, and j^1 .. j^K to their length
+
+
 def _power_table(ell: int, j: JTable) -> tuple:
     """(j(z)^0, ..., j(z)^(ell+1)) as coefficient tuples, j(z)^k from q^-k on.
 
-    An upward chain of IntSeries products, to the j table's precision,
-    except j(z)^(ell+1), which _expand reads only below q^tail and which
-    is built only that far.  JTable hashes and compares by its values, so
-    equal tables share one entry; the cache holds the last (ell, j) only.
-    The caller checks j's length first.
+    j(z)^1 .. j(z)^ell are sliced from one store held for the process:
+    j^1 .. j^K to the length of the longest j table seen that agrees with
+    j on their common prefix.  A longer table extends each held power by
+    its new coefficients only, lowest k first; a higher level appends
+    powers; a table that disagrees starts the store afresh.  The store
+    changes once its powers are complete.  j(z)^(ell+1), which _expand
+    reads only below q^tail, is formed per call, only that far.
     """
-    tail = j.count - ell * ell - ell + 1
-    T = [IntSeries.one(j.count), j.series()]
-    for _ in range(ell - 1):
-        T.append(T[-1] * T[1])
-    T.append(IntSeries(-1, j.values, tail + ell) * T[-1])
-    return tuple(t.coeffs for t in T)
+    v = j.values
+    held, powers = _POWERS  # one read: a commit in another thread cannot split it
+    if held[: len(v)] != v[: len(held)]:
+        held, powers = (), ()
+    if len(v) > len(held):
+        grown = [v]
+        for p in powers[1:]:
+            grown.append(p + tuple(_product(v, grown[-1], len(held), len(v))))
+        held, powers = v, grown
+    powers = list(powers)
+    while len(powers) < ell:
+        powers.append(tuple(_product(held, powers[-1], 0, len(held))))
+    _POWERS[:] = held, tuple(powers)
+    T = [(1,) + (0,) * (j.count - 1)] + [p[: len(v)] for p in powers[:ell]]
+    T.append(tuple(_product(v, T[ell], 0, j.count - ell * ell + 2)))  # to q^tail
+    return tuple(T)
 
 
 def _expand(ell: int, j: JTable, coefficient) -> IntSeries:
@@ -206,8 +219,7 @@ def _expand(ell: int, j: JTable, coefficient) -> IntSeries:
 
     With X = j(ell z) and Y = j(z), Phi_ell is X^(ell+1) + Y^(ell+1) plus
     the sum over rows m of X^m Q_m(Y), Q_m(Y) = sum_n a_{m,n} Y^n.  T[k]
-    holds j(z)^k from q^-k on, from _power_table: built once per
-    (ell, j table), shared by every expansion on an equal table, and only
+    holds j(z)^k from q^-k on, sliced from _power_table's store and only
     read here.  X^m is T[m] with each exponent times ell, never formed.
     tail = j.count - ell^2 - ell + 1 is the precision of X^ell Y^ell,
     which every table holds (a_{ell,ell} = -1), so nothing past it is

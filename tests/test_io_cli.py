@@ -15,7 +15,6 @@ from conftest import PHI2_KNOWN, PHI5_FACTORED
 from hypothesis import given, settings, strategies as st
 
 from modpoly import (
-    IntSeries,
     ModularPolynomial,
     SutherlandParseError,
     check_row,
@@ -29,7 +28,7 @@ from modpoly import (
     recurrence_row,
     solve_full_polynomial,
 )
-from modpoly import io_cli, recurrence
+from modpoly import congruence, io_cli, qseries, recurrence
 
 PHI5 = ModularPolynomial(5, dict(PHI5_FACTORED))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -604,12 +603,16 @@ def test_cli_check_out_keeps_text_summary(tmp_path, capsys):
 
 
 def test_cli_check_builds_only_the_report_it_writes(tmp_path, capsys, monkeypatch):
+    # every report check writes, and its verdict, come from one _render call
     built = []
-    to_text, to_json_text = io_cli.CongruenceReport.to_text, io_cli.CongruenceReport.to_json_text
-    monkeypatch.setattr(io_cli.CongruenceReport, "to_text",
-                        lambda r: built.append("text") or to_text(r))
-    monkeypatch.setattr(io_cli.CongruenceReport, "to_json_text",
-                        lambda r: built.append("json") or to_json_text(r))
+    render = io_cli.CongruenceReport._render
+
+    def spy(report, want_json, want_text):
+        out = render(report, want_json, want_text)
+        built.extend(name for name, text in zip(("json", "text"), out[1:]) if text is not None)
+        return out
+
+    monkeypatch.setattr(io_cli.CongruenceReport, "_render", spy)
     # the JSON is written from the records: no dict is built on the way
     monkeypatch.setattr(io_cli.CongruenceReport, "to_json_dict", lambda r: built.append("dict"))
     target = str(tmp_path / "report.json")
@@ -622,6 +625,19 @@ def test_cli_check_builds_only_the_report_it_writes(tmp_path, capsys, monkeypatc
         built.clear()
         assert run_cli(capsys, "check", "--ell", "5", *argv)[0] == 0, argv
         assert built == expected, argv
+
+
+@pytest.mark.parametrize("argv", [(), ("--format", "json"), ("--out", "report.json")])
+def test_cli_check_reads_each_record_verdict_once(tmp_path, capsys, monkeypatch, argv):
+    # the exit code takes its verdict from the writer's walk: no second
+    # pass over the records, whichever reports are written
+    monkeypatch.chdir(tmp_path)
+    records = len(json.loads(run_cli(capsys, "check", "--ell", "97", "--format", "json")[1])["checks"])
+    reads = []
+    real = congruence.CheckRecord.passed.fget
+    monkeypatch.setattr(congruence.CheckRecord, "passed", property(lambda r: reads.append(r) or real(r)))
+    assert run_cli(capsys, "check", "--ell", "97", *argv)[0] == 0
+    assert (records, len(reads)) == (213, 213)
 
 
 def test_cli_check_file_reads_pairs_in_either_order(tmp_path, capsys):
@@ -789,25 +805,28 @@ def test_cli_crosscheck_compares_the_hypergeometric_row_on_every_m(capsys, monke
     ))
 
 
-@pytest.mark.parametrize("ell", [13, 19])  # the solver runs at 13, not at 19
+@pytest.mark.parametrize("ell", [13, 17, 19])  # the solver runs at 13, not at 17 or 19
 def test_cli_crosscheck_catches_a_fault_in_the_series_product(capsys, monkeypatch, ell):
-    # recurrence_row's baby powers (and, at 13, the solver) run on IntSeries.__mul__;
-    # the closed and hypergeometric rows do not, so a wrong product cannot pass
-    real = IntSeries.__mul__
+    # recurrence_row's baby powers (and, at 13, the solver's powers of j) run on
+    # qseries._product; the closed and hypergeometric rows do not, so a wrong
+    # product cannot pass.  The fault is at q^2 from a product's base, which
+    # every baby's diagonal reads, not at its last coefficient, which some
+    # levels never read
+    real = qseries._product
 
-    def off_by_one_at_the_end(self, other):
-        out = real(self, other)
-        return IntSeries(out.base_exponent, out.coeffs[:-1] + (out.coeffs[-1] + 1,), out.precision)
+    def off_by_one_at_q2(a, b, start, stop):
+        out = real(a, b, start, stop)
+        if start <= 2 < stop:
+            out[2 - start] += 1
+        return out
 
-    recurrence._MEMO[0] = None
-    recurrence._power_table.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(IntSeries, "__mul__", off_by_one_at_the_end)
-            code, out, _ = run_cli(capsys, "crosscheck", "--ell", str(ell))
-    finally:
-        recurrence._MEMO[0] = None
-        recurrence._power_table.cache_clear()
+    with monkeypatch.context() as patch:
+        # stores of the test's own, so no faulty power outlives it
+        patch.setattr(recurrence, "_MEMO", [None] * 3)
+        patch.setattr(recurrence, "_POWERS", [(), ()])
+        patch.setattr(qseries, "_product", off_by_one_at_q2)
+        patch.setattr(recurrence, "_product", off_by_one_at_q2)
+        code, out, _ = run_cli(capsys, "crosscheck", "--ell", str(ell))
     assert code != 0
     assert "crosscheck: OK" not in out
 

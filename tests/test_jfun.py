@@ -1,6 +1,7 @@
 """The j-invariant expansion and the series feeding it."""
 
 import math
+import random
 from operator import mul
 
 import pytest
@@ -134,8 +135,15 @@ def test_e4_cubed_from_sigma11_and_tau_matches_power():
     assert tuple(cube) == (e4_series(1001) ** 3).coeffs
 
 
+def empty_j_store(monkeypatch):
+    # the test's own empty store, so the next table is computed, not sliced;
+    # the process's store comes back afterwards
+    monkeypatch.setattr(jfun, "_VALUES", [()])
+
+
 def test_e4_cubed_checks_the_691_division_against_wrong_tau(monkeypatch):
     # tau(7) one off breaks tau = sigma_11 (mod 691), and 691 is prime
+    empty_j_store(monkeypatch)
     real = jfun.delta_series
 
     def corrupt(precision):
@@ -150,6 +158,7 @@ def test_e4_cubed_checks_the_691_division_against_wrong_tau(monkeypatch):
 
 
 def test_e4_cubed_checks_the_691_division_against_wrong_sigma11(monkeypatch):
+    empty_j_store(monkeypatch)
     real = jfun._eisenstein_series
 
     def corrupt(precision, weight, factor):
@@ -158,6 +167,44 @@ def test_e4_cubed_checks_the_691_division_against_wrong_sigma11(monkeypatch):
     monkeypatch.setattr(jfun, "_eisenstein_series", corrupt)
     with pytest.raises(IntegralityError, match=r"\[q\^1\] E4\^3"):
         j_coefficients(10)
+
+
+def test_j_store_serves_counts_in_any_order(monkeypatch):
+    # counts 1 .. 300 in shuffled order, on an empty store: each table is a
+    # prefix of the one computed in one call, and the store only grows
+    empty_j_store(monkeypatch)
+    fresh = j_coefficients(300).values
+    empty_j_store(monkeypatch)
+    counts = list(range(1, 301))
+    random.Random(20261017).shuffle(counts)
+    longest = 0
+    for count in counts:
+        assert j_coefficients(count) == JTable(fresh[: count + 1]), count
+        longest = max(longest, count)
+        assert len(jfun._VALUES[0]) == longest + 1
+    assert jfun._VALUES[0] == fresh
+
+
+def test_j_store_unchanged_by_a_failed_extension(monkeypatch):
+    # tau(31) one off fails the 691 check while the store grows from 21 to
+    # 41 coefficients; the store keeps its 21, and a later request extends it
+    empty_j_store(monkeypatch)
+    held = j_coefficients(20).values
+    real = jfun.delta_series
+
+    def corrupt(precision):
+        d = real(precision)
+        coeffs = list(d.coeffs)
+        coeffs[30] += 1
+        return IntSeries(d.base_exponent, coeffs, d.precision)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jfun, "delta_series", corrupt)
+        with pytest.raises(IntegralityError, match=r"\[q\^31\] E4\^3"):
+            j_coefficients(40)
+    assert jfun._VALUES[0] is held
+    assert j_coefficients(40).values[:21] == held
+    assert j_coefficients(40).series() * delta_series(42) == e4_series(41) ** 3
 
 
 def test_j_coefficients_known_values():

@@ -470,80 +470,125 @@ def test_solver_and_residual_match_pair_basis_oracle(ell, count):
 # --- the shared power table ------------------------------------------------
 
 
+def empty_power_store(monkeypatch):
+    # the test's own empty store; the process's store comes back afterwards
+    monkeypatch.setattr(recurrence, "_POWERS", [(), ()])
+
+
 def count_products(monkeypatch):
-    """A list that gains one entry per IntSeries product from now on."""
-    calls = []
-    real = IntSeries.__mul__
+    """A list that gains, per product the power table forms from now on, the
+    number of coefficients the kernel returns."""
+    counts = []
+    real = recurrence._product
 
-    def spy(self, other):
-        calls.append(other)
-        return real(self, other)
+    def spy(a, b, start, stop):
+        counts.append(stop - start)
+        return real(a, b, start, stop)
 
-    monkeypatch.setattr(IntSeries, "__mul__", spy)
-    return calls
+    monkeypatch.setattr(recurrence, "_product", spy)
+    return counts
+
+
+def top_power(ell, j):
+    # j^(ell+1), formed on every call, to q^tail: tail + ell + 1 coefficients
+    return j.count - ell * ell + 2
 
 
 def test_residual_reuses_the_solvers_power_table(monkeypatch):
     # a residual check on a table equal to the solve's, though built
-    # separately, reads the solve's powers and multiplies no series
-    recurrence._power_table.cache_clear()
+    # separately, reads the solve's powers: its one product is j^(ell+1)
+    empty_power_store(monkeypatch)
     ell = 11
-    j, same = j_coefficients(solver_precision(ell)), j_coefficients(solver_precision(ell))
+    j = j_coefficients(solver_precision(ell))
+    same = JTable(tuple(list(j.values)))
     products = count_products(monkeypatch)
     poly = solve_full_polynomial(ell, j)
-    assert len(products) == ell  # j^2 .. j^ell by the chain, then j^(ell+1)
+    assert products == [len(j.values)] * (ell - 1) + [top_power(ell, j)]  # j^2 .. j^ell, j^(ell+1)
     del products[:]
     assert polynomial_residual(poly, same).is_zero()
-    assert products == []
-    assert recurrence._power_table.cache_info().currsize == 1
+    assert products == [top_power(ell, same)]
 
 
-def test_power_table_cache_hits_on_an_equal_table():
-    # the cache keys on (ell, j): a separately built table with equal
-    # values is the same key, one of another length is not
-    recurrence._power_table.cache_clear()
-    first = recurrence._power_table(5, j_coefficients(32))
-    again = recurrence._power_table(5, JTable(j_coefficients(32).values))
-    assert again is first
-    info = recurrence._power_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    recurrence._power_table(5, j_coefficients(33))
-    assert recurrence._power_table.cache_info().misses == 2
-
-
-def test_power_table_rebuilds_for_another_level_or_table(monkeypatch):
-    recurrence._power_table.cache_clear()
+def test_power_table_cache_hits_on_an_equal_table(monkeypatch):
+    # an equal table, built separately, reads the store; a table one
+    # coefficient longer extends j^2 .. j^5 by that coefficient only
+    empty_power_store(monkeypatch)
+    j = j_coefficients(32)
+    first = recurrence._power_table(5, j)
     products = count_products(monkeypatch)
-    # (ell, count, products built): a repeat is free, anything else rebuilds,
-    # and the one entry held is the last table built
-    steps = [(5, 32, 5), (5, 32, 0), (7, 58, 7), (5, 32, 5), (5, 60, 5), (5, 60, 0), (2, 60, 2)]
-    for ell, count, built in steps:
+    assert recurrence._power_table(5, JTable(tuple(list(j.values)))) == first
+    assert products == [top_power(5, j)]
+    del products[:]
+    longer = recurrence._power_table(5, j_coefficients(33))
+    assert products == [1] * 4 + [top_power(5, j) + 1]
+    assert [len(t) for t in longer] == [len(t) + 1 for t in first]
+    assert all(t[: len(f)] == f for t, f in zip(longer, first))
+
+
+def test_power_table_grows_for_another_level_or_table(monkeypatch):
+    empty_power_store(monkeypatch)
+    products = count_products(monkeypatch)
+    # (ell, count, coefficients the store forms): a repeat, a lower level
+    # or a shorter table forms none; a longer table extends each held power
+    # j^2 .. j^K by its new coefficients; a higher level appends powers at
+    # the store's length, though the table asks for fewer
+    steps = [(5, 32, [33] * 4), (5, 32, []), (2, 32, []), (5, 60, [28] * 4),
+             (7, 58, [61] * 2), (5, 32, []), (7, 60, [])]
+    for ell, count, formed in steps:
         del products[:]
-        solve_full_polynomial(ell, j_coefficients(count))
-        assert len(products) == built, (ell, count)
-        assert recurrence._power_table.cache_info().currsize == 1
+        j = j_coefficients(count)
+        solve_full_polynomial(ell, j)
+        assert products == formed + [top_power(ell, j)], (ell, count)
+    held, powers = recurrence._POWERS
+    assert held == j.values and len(powers) == 7
+    for k, power in enumerate(powers, start=1):
+        assert power == (j.series() ** k).coeffs, k
 
 
 def test_power_table_is_keyed_by_the_j_values(monkeypatch):
-    # a table of the same length with c_3 changed rebuilds, and fails
-    recurrence._power_table.cache_clear()
-    j = j_coefficients(8)
-    solve_full_polynomial(2, j)
-    values = list(j.values)
+    # a table with c_3 changed differs from the longer store on their
+    # common prefix: the store is built afresh from it, and the solve fails
+    empty_power_store(monkeypatch)
+    solve_full_polynomial(5, j_coefficients(32))
+    values = list(j_coefficients(8).values)
     values[4] += 1
     products = count_products(monkeypatch)
     with pytest.raises(InconsistentSystemError):
         solve_full_polynomial(2, JTable(tuple(values)))
-    assert len(products) == 2
+    assert products == [9, top_power(2, j_coefficients(8))]
+    held, powers = recurrence._POWERS
+    assert held == tuple(values) and len(powers) == 2
+
+
+@pytest.mark.parametrize("count", [58, 120])
+def test_solver_catches_a_fault_in_a_stored_power(monkeypatch, count):
+    # the first coefficient each stored product forms is one off: on an
+    # empty store that is a power's leading 1, and on a store grown from 58
+    # to 120 coefficients the first new one; either fails the solve
+    empty_power_store(monkeypatch)
+    if count > 58:
+        solve_full_polynomial(7, j_coefficients(58))
+    real = recurrence._product
+
+    def off_by_one(a, b, start, stop):
+        out = real(a, b, start, stop)
+        if stop == len(a):  # the store's products; j^(ell+1) stops short
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(recurrence, "_product", off_by_one)
+    with pytest.raises(InconsistentSystemError):
+        solve_full_polynomial(7, j_coefficients(count))
 
 
 @pytest.mark.parametrize("ell", [5, 7, 11])
-def test_shared_power_table_shares_no_verdict(ell):
-    # right after a solve has cached its powers, changed tables still give
+def test_shared_power_table_shares_no_verdict(monkeypatch, ell):
+    # right after a solve has stored its powers, changed tables still give
     # the pair-basis oracle's nonzero residual, and the solved one still 0
-    recurrence._power_table.cache_clear()
+    empty_power_store(monkeypatch)
     j = j_coefficients(solver_precision(ell))
     poly = solve_full_polynomial(ell, j)
+    products = count_products(monkeypatch)
     entries = {(m, n): v for m, n, v in poly.items()}
     changes = [((1, 0), 1), ((3, 1), 7 * 2**40 * 3**20)]
     for key, delta in changes:
@@ -557,8 +602,7 @@ def test_shared_power_table_shares_no_verdict(ell):
         )
         assert not residual.is_zero(), key
     assert polynomial_residual(poly, j).is_zero()
-    info = recurrence._power_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    assert products == [top_power(ell, j)] * 3
 
 
 @pytest.mark.parametrize("ell,count,value,exponent", [(2, 8, -2, 2), (5, 60, -5, 30), (7, 120, -7, 64)])
